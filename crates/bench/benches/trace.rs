@@ -1,11 +1,11 @@
 //! Trace-recorder benches: what observability costs the scheduler.
 //!
 //! * `trace_schedule/*` — the 64-image pipelined schedule on the
-//!   prebuilt 2-board plan timeline, three ways: the plain untraced
-//!   wrapper, the traced entry point with a **disabled** recorder
-//!   (must be indistinguishable — the zero-cost-when-off contract the
-//!   inlined early-return buys), and a fully **enabled** recorder
-//!   (prices the event log itself).
+//!   prebuilt 2-board plan timeline, three ways: the untraced entry
+//!   point (the scheduler core with a no-op commit hook, no recorder
+//!   at all), the traced entry point with a **disabled** recorder (one
+//!   inlined branch per committed span — should sit next to untraced),
+//!   and a fully **enabled** recorder (prices the event log itself).
 //! * `trace_aggregate/*` — turning one captured trace into the stall
 //!   attribution metrics and the Chrome JSON export.
 
@@ -50,10 +50,10 @@ fn bench_schedule(c: &mut Criterion) {
     let mut g = c.benchmark_group("trace_schedule");
     g.measurement_time(Duration::from_secs(3));
     g.throughput(Throughput::Elements(IMAGES as u64));
-    g.bench_function("untraced", |b| {
+    g.bench_function("untraced-no-op-hook", |b| {
         b.iter(|| pipelined_schedule_released(black_box(&timeline), black_box(&releases)))
     });
-    g.bench_function("recorder-disabled", |b| {
+    g.bench_function("traced-recorder-disabled", |b| {
         b.iter(|| {
             let mut rec = Recorder::disabled();
             zynq_sim::cluster::pipelined_schedule_released_traced(
@@ -63,7 +63,7 @@ fn bench_schedule(c: &mut Criterion) {
             )
         })
     });
-    g.bench_function("recorder-enabled", |b| {
+    g.bench_function("traced-recorder-enabled", |b| {
         b.iter(|| {
             let mut rec = Recorder::enabled();
             let run = zynq_sim::cluster::pipelined_schedule_released_traced(

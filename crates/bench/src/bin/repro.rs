@@ -1588,6 +1588,7 @@ fn serve_cmd(flags: &Flags) {
                 seed: flags.seed,
                 window: Window::default(),
             },
+            false,
         )
         .expect("valid request");
         t2.row(vec![
@@ -1610,7 +1611,7 @@ fn serve_cmd(flags: &Flags) {
 fn trace_cmd(flags: &Flags) {
     use zynq_sim::engine::Offload;
     use zynq_sim::plan::PlFormat;
-    use zynq_sim::serve::{serve_timeline_traced, ArrivalProcess, Dispatch, ServeRequest, Window};
+    use zynq_sim::serve::{serve_timeline, ArrivalProcess, Dispatch, ServeRequest, Window};
     use zynq_sim::trace::{check_chrome_json, resource_label};
     use zynq_sim::{
         plan_cluster, Cluster, ClusterRequest, Interconnect, Partitioner, Replication, Schedule,
@@ -1644,7 +1645,7 @@ fn trace_cmd(flags: &Flags) {
         seed: flags.seed,
         window: Window::default(),
     };
-    let report = serve_timeline_traced(plan.timeline(), &serve_req, true)
+    let report = serve_timeline(plan.timeline(), &serve_req, true)
         .expect("the traced serve replays the same virtual timeline");
     let mut trace = report.trace().expect("tracing was requested").clone();
     trace.set_broadcast_seconds(plan.broadcast_seconds());

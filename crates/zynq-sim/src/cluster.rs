@@ -695,21 +695,91 @@ pub fn pipelined_schedule(timeline: &[StageTiming], images: usize) -> PipelineRu
 /// exactly). Releases must be sorted ascending so the oldest-image
 /// tie-break keeps arrival order.
 pub fn pipelined_schedule_released(timeline: &[StageTiming], releases: &[f64]) -> ServedRun {
-    pipelined_schedule_released_traced(timeline, releases, &mut Recorder::disabled())
+    schedule_with(timeline, releases, place_nominal, |_| {})
 }
 
 /// [`pipelined_schedule_released`] with an event [`Recorder`]: every
 /// stage execution and interconnect hand-off is recorded as a typed
-/// span in virtual time (see [`crate::trace`]). The public untraced
-/// entry points delegate here with a disabled recorder, whose hooks
-/// reduce to one inlined branch — recording never touches the
-/// scheduler's arithmetic, so the returned [`ServedRun`] is
-/// bit-identical with tracing on or off (pinned in `tests/trace.rs`).
+/// span in virtual time (see [`crate::trace`]). Recording only
+/// observes committed executions — it never touches the scheduler's
+/// arithmetic, so the returned [`ServedRun`] is bit-identical with
+/// tracing on or off (pinned in `tests/trace.rs`).
 pub fn pipelined_schedule_released_traced(
     timeline: &[StageTiming],
     releases: &[f64],
     rec: &mut Recorder,
 ) -> ServedRun {
+    let run = schedule_with(timeline, releases, place_nominal, |span| {
+        rec.span(span.image, span)
+    });
+    if rec.is_enabled() {
+        let images = releases.len();
+        let utilization = steady_utilization(timeline, images, run.makespan);
+        rec.run_summary(utilization, images, run.makespan);
+    }
+    run
+}
+
+/// Per-resource busy fraction of `horizon` when `images` images each
+/// occupy the timeline's per-image busy table
+/// ([`crate::partition::resource_busy`]) — the fault-free
+/// `ServeReport::utilization`.
+pub(crate) fn steady_utilization(
+    timeline: &[StageTiming],
+    images: usize,
+    horizon: f64,
+) -> Vec<(StageResource, f64)> {
+    crate::partition::resource_busy(timeline)
+        .into_iter()
+        .map(|(resource, busy)| (resource, busy * images as f64 / horizon))
+        .collect()
+}
+
+/// One committed stage execution, as the scheduler core hands it to
+/// its `commit` hook: the tracer turns it into stage and transfer
+/// events, the failover orchestrator classifies it against a crash.
+/// Fields mean what they do on [`crate::trace::StageSpan`], with
+/// `image` indexing the scheduled release list.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Span {
+    pub image: usize,
+    pub stage: usize,
+    pub resource: StageResource,
+    pub layer: Option<LayerName>,
+    pub pending: f64,
+    pub start: f64,
+    pub end: f64,
+    /// `(start, end)` of the leading interconnect hand-off, if any.
+    pub transfer: Option<(f64, f64)>,
+}
+
+/// The fault-free placement rule: `(transfer_seconds, start, duration)`
+/// for image `image` entering `stage` with its input pending at
+/// `pending`, given the per-slot free instants.
+#[inline]
+fn place_nominal(stage: &StageTiming, image: usize, pending: f64, free: &[f64]) -> (f64, f64, f64) {
+    let start = (pending + stage.transfer_in).max(free[stage.resource_for(image).slot()]);
+    (stage.transfer_in, start, stage.seconds)
+}
+
+/// The event-driven scheduler core behind every pipelined schedule:
+/// every resource (head PS, each board's PL) executes one stage at a
+/// time to completion, and the globally earliest-startable pending
+/// stage commits next. `place` prices an image entering a stage as
+/// `(transfer_seconds, start, duration)` — the nominal rule, or the
+/// fault-aware one that applies degradation windows — and `commit`
+/// observes each committed execution. Both hooks are generic, so each
+/// caller gets its own monomorphized loop.
+pub(crate) fn schedule_with<P, C>(
+    timeline: &[StageTiming],
+    releases: &[f64],
+    mut place: P,
+    mut commit: C,
+) -> ServedRun
+where
+    P: FnMut(&StageTiming, usize, f64, &[f64]) -> (f64, f64, f64),
+    C: FnMut(&Span),
+{
     let images = releases.len();
     let slots = timeline
         .iter()
@@ -740,8 +810,9 @@ pub fn pipelined_schedule_released_traced(
         // downstream segments outrank later images' prefixes on a
         // shared resource. A replicated stage pins image `i` to its
         // round-robin replica — replicas are distinct resources, so
-        // two images on different replicas overlap.
-        let mut best: Option<(f64, usize)> = None;
+        // two images on different replicas overlap. The winner's
+        // placement is kept, so `place` runs once per candidate.
+        let mut best: Option<(usize, (f64, f64, f64))> = None;
         for i in 0..images {
             let Some(stage) = timeline.get(next[i]) else {
                 continue;
@@ -749,34 +820,31 @@ pub fn pipelined_schedule_released_traced(
             if started[next[i]] != i {
                 continue; // FIFO: an older image starts this stage first.
             }
-            let start = (ready[i] + stage.transfer_in).max(free[stage.resource_for(i).slot()]);
-            if best.is_none_or(|(b, _)| start < b) {
-                best = Some((start, i));
+            let placed = place(stage, i, ready[i], &free);
+            if best.is_none_or(|(_, (_, b, _))| placed.1 < b) {
+                best = Some((i, placed));
             }
         }
-        let (start, i) = best.expect("pending stages remain");
+        let (i, (t_in, start, duration)) = best.expect("pending stages remain");
         let stage = &timeline[next[i]];
-        let done = start + stage.seconds;
+        let done = start + duration;
         let resource = stage.resource_for(i);
-        rec.stage(
-            i,
-            next[i],
+        commit(&Span {
+            image: i,
+            stage: next[i],
             resource,
-            stage.layer,
-            ready[i],
-            ready[i] + stage.transfer_in,
+            layer: stage.layer,
+            pending: ready[i],
             start,
-            done,
-        );
-        if stage.transfer_in > 0.0 {
-            rec.transfer(i, next[i], resource, ready[i], ready[i] + stage.transfer_in);
-        }
+            end: done,
+            transfer: (t_in > 0.0).then_some((ready[i], ready[i] + t_in)),
+        });
         free[resource.slot()] = done;
         started[next[i]] += 1;
         if next[i] == 0 {
             // Latency runs from the moment the image's first transfer
             // begins (a leading hand-off is part of serving the image).
-            starts[i] = start - stage.transfer_in;
+            starts[i] = start - t_in;
         }
         ready[i] = done;
         next[i] += 1;
@@ -794,7 +862,6 @@ pub fn pipelined_schedule_released_traced(
             .map(|r| free[r.slot()])
             .fold(f64::INFINITY, f64::min)
     });
-    rec.run_summary(timeline, images, makespan);
     ServedRun {
         makespan,
         starts,

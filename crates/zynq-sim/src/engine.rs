@@ -1678,7 +1678,7 @@ impl<'n> Engine<'n> {
     /// bit-identical to the fault-free path.
     pub fn serve(&self, req: &ServeRequest) -> Result<ServeReport, EngineError> {
         let mut report = if self.faults.is_empty() {
-            crate::serve::serve_timeline_traced(&self.serve_pipeline()?, req, self.trace_enabled)?
+            crate::serve::serve_timeline(&self.serve_pipeline()?, req, self.trace_enabled)?
         } else {
             let cplan = self
                 .cluster_plan
@@ -1701,7 +1701,7 @@ impl<'n> Engine<'n> {
     /// stay untraced even under [`EngineBuilder::trace`] — a trace per
     /// load point is rarely what you want; trace one
     /// [`Engine::serve`] at the load you care about instead (or call
-    /// [`crate::serve::sweep_timeline_traced`] directly).
+    /// [`crate::serve::serve_timeline`] with `traced` directly).
     pub fn load_sweep(&self, sweep: &LoadSweep) -> Result<Vec<LoadPoint>, EngineError> {
         crate::serve::sweep_timeline(&self.serve_pipeline()?, sweep)
     }

@@ -15,8 +15,8 @@
 //!    variant of [`pipelined_schedule_released`]; crashes are consumed
 //!    by the failover orchestrator ([`serve_faulted`]). An **empty plan
 //!    is bit-identical and zero-overhead**: both entry points delegate
-//!    straight to the unfaulted path (the same pattern as the disabled
-//!    [`crate::trace::Recorder`]).
+//!    straight to the unfaulted path (the same pattern as untraced
+//!    runs, which never touch a [`crate::trace::Recorder`]).
 //! 2. **Detection + failover** — a [`HealthMonitor`] with a timeout
 //!    policy marks a board failed once a stage exceeds
 //!    `timeout × expected stage seconds` in virtual time. On failure
@@ -53,16 +53,15 @@
 //!   completed logits stay bit-identical to the fault-free run.
 
 use crate::cluster::{
-    pipelined_schedule_released, plan_cluster, Cluster, ClusterPlan, ClusterRequest, ServedRun,
-    StageResource, StageTiming,
+    pipelined_schedule_released, plan_cluster, schedule_with, Cluster, ClusterPlan, ClusterRequest,
+    ServedRun, StageResource, StageTiming,
 };
 use crate::engine::{latency_quantile, EngineError, Offload};
 use crate::partition::board_stage_seconds;
 use crate::planner::OffloadTarget;
 use crate::replica::{restage_seconds, Replication};
-use crate::serve::{window_report, MicroBatcher, ServeReport, ServeRequest};
+use crate::serve::{replay_batches, window_report, MicroBatcher, ServeReport, ServeRequest};
 use crate::trace::{FaultKind, FaultTraceEvent, Recorder};
-use rodenet::LayerName;
 
 /// One deterministic fault, placed in virtual time.
 ///
@@ -519,8 +518,8 @@ impl FaultWindows {
 
     /// `(transfer_seconds, start, duration)` for image `image` entering
     /// stage `stage` with its input pending at `pending`, given the
-    /// per-slot free instants. The single placement rule shared by the
-    /// scheduler's selection and commit steps, so both always agree.
+    /// per-slot free instants: the fault-aware placement hook of the
+    /// scheduler core ([`crate::cluster`]'s `schedule_with`).
     fn place(
         &self,
         stage: &StageTiming,
@@ -539,102 +538,6 @@ impl FaultWindows {
         let dur = stage.seconds * self.slowdown_factor(resource.board(), start);
         (t_in, start, dur)
     }
-}
-
-/// One committed stage execution, kept so the failover orchestrator can
-/// classify work against a crash instant and replay survivors into the
-/// trace.
-struct SpanRec {
-    image: usize,
-    stage: usize,
-    resource: StageResource,
-    layer: Option<LayerName>,
-    pending: f64,
-    start: f64,
-    end: f64,
-    /// `(start, end)` of the leading interconnect hand-off, if any.
-    transfer: Option<(f64, f64)>,
-}
-
-/// The fault-aware core loop: [`pipelined_schedule_released`] with the
-/// degradation windows applied at every placement decision, collecting
-/// the committed spans.
-fn faulted_run(
-    timeline: &[StageTiming],
-    releases: &[f64],
-    windows: &FaultWindows,
-) -> (ServedRun, Vec<SpanRec>) {
-    let images = releases.len();
-    let slots = timeline
-        .iter()
-        .flat_map(|s| s.resources())
-        .map(|r| r.slot())
-        .max()
-        .map_or(1, |m| m + 1);
-    let mut free = vec![0.0f64; slots];
-    let mut next = vec![0usize; images];
-    let mut ready = releases.to_vec();
-    let mut starts = vec![0.0f64; images];
-    let mut finishes = vec![0.0f64; images];
-    let mut started = vec![0usize; timeline.len()];
-    let mut makespan = 0.0f64;
-    let mut spans = Vec::with_capacity(images * timeline.len());
-    for _ in 0..images * timeline.len() {
-        let mut best: Option<(f64, usize)> = None;
-        for i in 0..images {
-            let Some(stage) = timeline.get(next[i]) else {
-                continue;
-            };
-            if started[next[i]] != i {
-                continue;
-            }
-            let (_, start, _) = windows.place(stage, i, ready[i], &free);
-            if best.is_none_or(|(b, _)| start < b) {
-                best = Some((start, i));
-            }
-        }
-        let (_, i) = best.expect("pending stages remain");
-        let stage = &timeline[next[i]];
-        let (t_in, start, dur) = windows.place(stage, i, ready[i], &free);
-        let done = start + dur;
-        let resource = stage.resource_for(i);
-        spans.push(SpanRec {
-            image: i,
-            stage: next[i],
-            resource,
-            layer: stage.layer,
-            pending: ready[i],
-            start,
-            end: done,
-            transfer: (t_in > 0.0).then_some((ready[i], ready[i] + t_in)),
-        });
-        free[resource.slot()] = done;
-        started[next[i]] += 1;
-        if next[i] == 0 {
-            starts[i] = start - t_in;
-        }
-        ready[i] = done;
-        next[i] += 1;
-        if next[i] == timeline.len() {
-            finishes[i] = done;
-            makespan = makespan.max(done);
-        }
-    }
-    let head_idle = timeline.first().map_or(0.0, |s| {
-        s.resources()
-            .iter()
-            .map(|r| free[r.slot()])
-            .fold(f64::INFINITY, f64::min)
-    });
-    (
-        ServedRun {
-            makespan,
-            starts,
-            finishes,
-            head_idle,
-        },
-        spans,
-    )
 }
 
 /// Fault-aware [`pipelined_schedule_released`]: the same greedy
@@ -668,7 +571,12 @@ pub fn faulted_schedule_released(
     if !windows.has_degrades() {
         return pipelined_schedule_released(timeline, releases);
     }
-    faulted_run(timeline, releases, &windows).0
+    schedule_with(
+        timeline,
+        releases,
+        |stage, image, pending, free| windows.place(stage, image, pending, free),
+        |_| {},
+    )
 }
 
 /// Add `seconds` of busy time to `resource`'s bucket.
@@ -678,55 +586,6 @@ fn add_busy(busy: &mut Vec<(StageResource, f64)>, resource: StageResource, secon
     } else {
         busy.push((resource, seconds));
     }
-}
-
-/// Replay one committed span (stage + optional hand-off) into the trace
-/// under the image's **original** id, and bill its busy time.
-fn replay_span(
-    rec: &mut Recorder,
-    busy: &mut Vec<(StageResource, f64)>,
-    span: &SpanRec,
-    id: usize,
-) {
-    let delivered = span.transfer.map_or(span.pending, |(_, e)| e);
-    rec.stage(
-        id,
-        span.stage,
-        span.resource,
-        span.layer,
-        span.pending,
-        delivered,
-        span.start,
-        span.end,
-    );
-    if let Some((s, e)) = span.transfer {
-        rec.transfer(id, span.stage, span.resource, s, e);
-    }
-    add_busy(busy, span.resource, span.end - span.start);
-}
-
-/// Replay the epoch's arrivals + dispatches whose dispatch instant
-/// precedes `until`, returning how many batches that is. Mirrors the
-/// grouping in [`crate::serve::serve_timeline_traced`].
-fn replay_batches(rec: &mut Recorder, avails: &[f64], releases: &[f64], until: f64) -> usize {
-    let mut batches = 0usize;
-    let mut i = 0usize;
-    while i < releases.len() {
-        let at = releases[i];
-        let mut j = i;
-        while j < releases.len() && releases[j] == at {
-            j += 1;
-        }
-        if at < until {
-            for arrival in &avails[i..j] {
-                rec.arrival(*arrival);
-            }
-            rec.dispatch(at, j - i);
-            batches += 1;
-        }
-        i = j;
-    }
-    batches
 }
 
 /// Serve `req` over `plan` while injecting `faults`, detecting crashes
@@ -742,7 +601,7 @@ fn replay_batches(rec: &mut Recorder, avails: &[f64], releases: &[f64], until: f
 /// software fallback as the degraded last resort), and the replacement
 /// placement's weight re-broadcast ([`restage_seconds`]) is billed
 /// before serving resumes. An empty `faults` delegates verbatim to
-/// [`crate::serve::serve_timeline_traced`] — bit-identical reports and
+/// [`crate::serve::serve_timeline`] — bit-identical reports and
 /// traces.
 ///
 /// Returns [`EngineError::InvalidFaultPlan`] for an unusable plan or
@@ -757,7 +616,7 @@ pub fn serve_faulted(
     faults.validate(plan.cluster().len())?;
     policy.validate()?;
     if faults.is_empty() {
-        return crate::serve::serve_timeline_traced(plan.timeline(), req, traced);
+        return crate::serve::serve_timeline(plan.timeline(), req, traced);
     }
     req.validate()?;
     let arrivals = req.arrivals.arrivals(req.images, req.seed);
@@ -834,7 +693,13 @@ pub fn serve_faulted(
         let avails: Vec<f64> = pending.iter().map(|(_, a)| *a).collect();
         let rel = MicroBatcher::new(req.dispatch).release_plan(&timeline, &avails);
         queue_peak = queue_peak.max(rel.queue_peak);
-        let (run, spans) = faulted_run(&timeline, &rel.releases, &windows);
+        let mut spans = Vec::with_capacity(pending.len() * timeline.len());
+        let run = schedule_with(
+            &timeline,
+            &rel.releases,
+            |stage, image, at, free| windows.place(stage, image, at, free),
+            |span| spans.push(*span),
+        );
 
         let Some((t_c, b)) = crash else {
             // Final epoch: every remaining image completes.
@@ -848,7 +713,9 @@ pub fn serve_faulted(
                 }
             }
             for span in &spans {
-                replay_span(&mut rec, &mut busy, span, pending[span.image].0);
+                // Traced under the image's original id.
+                rec.span(pending[span.image].0, span);
+                add_busy(&mut busy, span.resource, span.end - span.start);
             }
             if degraded_now {
                 degraded_seconds += epoch_end - t0;
@@ -891,7 +758,8 @@ pub fn serve_faulted(
         batches += replay_batches(&mut rec, &avails, &rel.releases, detect_at);
         for span in &spans {
             if committed[span.image] {
-                replay_span(&mut rec, &mut busy, span, pending[span.image].0);
+                rec.span(pending[span.image].0, span);
+                add_busy(&mut busy, span.resource, span.end - span.start);
             }
         }
         if degraded_now {
@@ -1039,7 +907,7 @@ pub fn serve_faulted(
         .collect();
     latencies.sort_by(f64::total_cmp);
     busy.sort_by_key(|(r, _)| r.slot());
-    let utilization = busy
+    let utilization: Vec<(StageResource, f64)> = busy
         .iter()
         .map(|&(r, s)| (r, if horizon > 0.0 { s / horizon } else { 0.0 }))
         .collect();
@@ -1051,7 +919,7 @@ pub fn serve_faulted(
     };
     let redispatched = failovers.iter().map(|f| f.redispatched).sum();
     debug_assert_eq!(completed + dropped, req.images, "image conservation");
-    rec.run_summary(plan.timeline(), completed, horizon);
+    rec.run_summary(utilization.clone(), completed, horizon);
     Ok(ServeReport {
         images: completed,
         batches,
@@ -1089,6 +957,7 @@ pub fn serve_faulted(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rodenet::LayerName;
 
     fn chain() -> Vec<StageTiming> {
         vec![

@@ -80,7 +80,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::cluster::{
     bottleneck_seconds, pipelined_schedule_released, pipelined_schedule_released_traced,
-    StageResource, StageTiming,
+    steady_utilization, StageResource, StageTiming,
 };
 use crate::engine::{latency_quantile, EngineError};
 use crate::trace::{Recorder, Trace};
@@ -573,7 +573,7 @@ pub struct ServeReport {
     /// the fault-free path.
     pub availability: Option<crate::fault::AvailabilityReport>,
     /// The event trace, when the run was served through
-    /// [`serve_timeline_traced`] with tracing on (`None` otherwise).
+    /// [`serve_timeline`] with tracing on (`None` otherwise).
     pub(crate) trace: Option<Trace>,
 }
 
@@ -592,7 +592,7 @@ impl ServeReport {
 
     /// The run's event trace — stage spans, hand-offs, queue and
     /// dispatch events plus [`Trace::metrics`] stall attribution —
-    /// when the serve was traced ([`serve_timeline_traced`] /
+    /// when the serve was traced ([`serve_timeline`] with `traced` /
     /// `EngineBuilder::trace(true)`); `None` for untraced runs.
     pub fn trace(&self) -> Option<&Trace> {
         self.trace.as_ref()
@@ -622,24 +622,17 @@ impl ServeReport {
 /// stream, and fold per-image **arrival-to-completion** latencies
 /// into a [`ServeReport`].
 ///
+/// When `traced`, the report carries a [`Trace`] of the run —
+/// per-image stage spans and hand-offs from the event sim, plus
+/// admission-queue arrivals and micro-batcher dispatch decisions
+/// reconstructed from the release plan. Only the one full replay is
+/// traced; the deadline batcher's per-dispatch head-idle consults stay
+/// untraced (they are planning probes, not execution). Tracing never
+/// touches the simulation's arithmetic: the report's numbers are
+/// bit-identical with tracing on or off (pinned in `tests/trace.rs`).
+///
 /// [`Engine::serve`]: crate::engine::Engine::serve
 pub fn serve_timeline(
-    timeline: &[StageTiming],
-    req: &ServeRequest,
-) -> Result<ServeReport, EngineError> {
-    serve_timeline_traced(timeline, req, false)
-}
-
-/// [`serve_timeline`] with event tracing: when `traced`, the returned
-/// report carries a [`Trace`] of the run — per-image stage spans and
-/// hand-offs from the release-aware event sim, plus admission-queue
-/// arrivals and micro-batcher dispatch decisions reconstructed from
-/// the release plan. Only the one full replay is traced; the deadline
-/// batcher's per-dispatch head-idle consults stay untraced (they are
-/// planning probes, not execution). Tracing never touches the
-/// simulation's arithmetic: the report's numbers are bit-identical
-/// with tracing on or off (pinned in `tests/trace.rs`).
-pub fn serve_timeline_traced(
     timeline: &[StageTiming],
     req: &ServeRequest,
     traced: bool,
@@ -652,33 +645,14 @@ pub fn serve_timeline_traced(
     }
     let arrivals = req.arrivals.arrivals(req.images, req.seed);
     let plan = MicroBatcher::new(req.dispatch).release_plan(timeline, &arrivals);
-    let mut rec = if traced {
-        Recorder::enabled()
-    } else {
-        Recorder::disabled()
-    };
-    if rec.is_enabled() {
-        // Queue/dispatch events replay the batcher's decisions from
-        // the release plan: consecutive equal releases are one batch
-        // (dispatch instants strictly increase), and each batch's
-        // arrivals precede its dispatch — exactly the queue's
-        // push-before-drain order, so the depth series peaks at
-        // `AdmissionQueue::peak()`.
-        let mut idx = 0usize;
-        while idx < plan.releases.len() {
-            let at = plan.releases[idx];
-            let mut count = 0usize;
-            while idx + count < plan.releases.len() && plan.releases[idx + count] == at {
-                count += 1;
-            }
-            for arrival in &arrivals[idx..idx + count] {
-                rec.arrival(*arrival);
-            }
-            rec.dispatch(at, count);
-            idx += count;
+    let mut rec = traced.then(Recorder::enabled);
+    let run = match rec.as_mut() {
+        Some(rec) => {
+            replay_batches(rec, &arrivals, &plan.releases, f64::INFINITY);
+            pipelined_schedule_released_traced(timeline, &plan.releases, rec)
         }
-    }
-    let run = pipelined_schedule_released_traced(timeline, &plan.releases, &mut rec);
+        None => pipelined_schedule_released(timeline, &plan.releases),
+    };
 
     let mut latencies: Vec<f64> = run
         .finishes
@@ -689,12 +663,7 @@ pub fn serve_timeline_traced(
     latencies.sort_by(f64::total_cmp);
 
     let horizon = run.makespan;
-    let per_image = crate::partition::resource_busy(timeline);
-    let utilization = per_image
-        .into_iter()
-        .map(|(resource, busy)| (resource, busy * req.images as f64 / horizon))
-        .collect();
-
+    let utilization = steady_utilization(timeline, req.images, horizon);
     Ok(ServeReport {
         images: req.images,
         batches: plan.batches,
@@ -709,8 +678,41 @@ pub fn serve_timeline_traced(
         utilization,
         window: window_report(&req.window, horizon, run.finishes.iter().copied()),
         availability: None,
-        trace: traced.then(|| rec.finish()),
+        trace: rec.map(Recorder::finish),
     })
+}
+
+/// Replay the admission queue's arrivals and the micro-batcher's
+/// dispatches from a release plan into `rec`, for the dispatches whose
+/// instant precedes `until`; returns how many batches that is.
+/// Consecutive equal releases are one batch (dispatch instants
+/// strictly increase), and each batch's arrivals precede its dispatch
+/// — exactly the queue's push-before-drain order, so the depth series
+/// peaks at `AdmissionQueue::peak()`.
+pub(crate) fn replay_batches(
+    rec: &mut Recorder,
+    arrivals: &[f64],
+    releases: &[f64],
+    until: f64,
+) -> usize {
+    let mut batches = 0usize;
+    let mut i = 0usize;
+    while i < releases.len() {
+        let at = releases[i];
+        let mut j = i;
+        while j < releases.len() && releases[j] == at {
+            j += 1;
+        }
+        if at < until {
+            for &arrival in &arrivals[i..j] {
+                rec.arrival(arrival);
+            }
+            rec.dispatch(at, j - i);
+            batches += 1;
+        }
+        i = j;
+    }
+    batches
 }
 
 /// A load sweep: walk Poisson offered load across fractions of the
@@ -767,19 +769,6 @@ pub fn sweep_timeline(
     timeline: &[StageTiming],
     sweep: &LoadSweep,
 ) -> Result<Vec<LoadPoint>, EngineError> {
-    sweep_timeline_traced(timeline, sweep, false)
-}
-
-/// [`sweep_timeline`] with event tracing: when `traced`, every
-/// [`LoadPoint`]'s report carries its own [`Trace`] (one full event
-/// log per load fraction — useful for comparing stall attribution as
-/// offered load climbs, but proportionally heavier; the default sweep
-/// stays untraced).
-pub fn sweep_timeline_traced(
-    timeline: &[StageTiming],
-    sweep: &LoadSweep,
-    traced: bool,
-) -> Result<Vec<LoadPoint>, EngineError> {
     if sweep.fractions.is_empty() {
         return Err(EngineError::InvalidServe {
             reason: "a load sweep needs at least one load fraction",
@@ -808,7 +797,7 @@ pub fn sweep_timeline_traced(
                 seed: sweep.seed,
                 window: Window::default(),
             };
-            serve_timeline_traced(timeline, &req, traced).map(|report| LoadPoint {
+            serve_timeline(timeline, &req, false).map(|report| LoadPoint {
                 fraction,
                 offered,
                 report,
@@ -984,8 +973,8 @@ mod tests {
             seed: 11,
             window: Window::default(),
         };
-        let a = serve_timeline(&toy(), &req).expect("valid");
-        let b = serve_timeline(&toy(), &req).expect("valid");
+        let a = serve_timeline(&toy(), &req, false).expect("valid");
+        let b = serve_timeline(&toy(), &req, false).expect("valid");
         assert_eq!(a, b, "virtual time ⇒ bit-stable");
         assert_eq!(a.images, 64);
         assert!(a.batches >= 1 && a.batches <= 64);
@@ -1024,10 +1013,10 @@ mod tests {
     fn invalid_requests_are_rejected_up_front() {
         let mut req = ServeRequest::poisson(10.0);
         req.images = 0;
-        assert!(serve_timeline(&toy(), &req).is_err());
+        assert!(serve_timeline(&toy(), &req, false).is_err());
         let req = ServeRequest::poisson(10.0);
         assert!(matches!(
-            serve_timeline(&[], &req),
+            serve_timeline(&[], &req, false),
             Err(EngineError::InvalidServe { .. })
         ));
         let sweep = LoadSweep {

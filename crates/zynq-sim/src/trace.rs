@@ -7,8 +7,8 @@
 //! looks the way it does:
 //!
 //! 1. a [`Recorder`] is threaded through
-//!    [`pipelined_schedule_released_traced`] and
-//!    [`serve_timeline_traced`], capturing typed spans — one
+//!    [`pipelined_schedule_released_traced`] and a traced
+//!    [`serve_timeline`], capturing typed spans — one
 //!    [`StageSpan`] per stage execution per image per
 //!    [`StageResource`], [`TransferSpan`]s for interconnect hand-offs
 //!    and the one-time replica broadcast, [`QueueEvent`]s for
@@ -27,11 +27,12 @@
 //!    `repro -- trace` command writes the JSON artifact and prints the
 //!    attribution table.
 //!
-//! A **disabled** recorder is a single inlined boolean check per event
-//! — the schedulers' floating-point arithmetic is untouched either
-//! way, so schedules and logits are bit-identical with tracing on or
-//! off (pinned in `tests/trace.rs`; overhead pinned in
-//! `benches/trace.rs`).
+//! Untraced entry points never touch a recorder: the scheduler core's
+//! commit hook is a no-op there. A traced run only observes committed
+//! executions, so the schedulers' floating-point arithmetic is
+//! untouched either way and schedules and logits are bit-identical
+//! with tracing on or off (pinned in `tests/trace.rs`; overhead priced
+//! in `benches/trace.rs`).
 //!
 //! # Stall attribution
 //!
@@ -55,9 +56,9 @@
 //! delivered work" is never misread as starvation.
 //!
 //! [`pipelined_schedule_released_traced`]: crate::cluster::pipelined_schedule_released_traced
-//! [`serve_timeline_traced`]: crate::serve::serve_timeline_traced
+//! [`serve_timeline`]: crate::serve::serve_timeline
 
-use crate::cluster::{StageResource, StageTiming};
+use crate::cluster::{Span, StageResource};
 use rodenet::LayerName;
 
 /// One stage execution on one resource, in virtual seconds.
@@ -212,7 +213,7 @@ pub struct Trace {
     pub faults: Vec<FaultTraceEvent>,
     images: usize,
     horizon: f64,
-    per_image_busy: Vec<(StageResource, f64)>,
+    utilization: Vec<(StageResource, f64)>,
     broadcast_seconds: f64,
 }
 
@@ -245,14 +246,11 @@ impl Trace {
     }
 
     /// Per-resource utilization, **bit-equal** to
-    /// `ServeReport::utilization`: the timeline's per-image busy table
-    /// (captured at record time) scaled by `images / horizon` with the
-    /// exact arithmetic `serve_timeline` uses.
+    /// `ServeReport::utilization`: the table the scheduler computed for
+    /// the report, stamped verbatim at record time (so faulted runs
+    /// carry the post-failover busy time, not the nominal timeline's).
     pub fn utilization(&self) -> Vec<(StageResource, f64)> {
-        self.per_image_busy
-            .iter()
-            .map(|&(resource, busy)| (resource, busy * self.images as f64 / self.horizon))
-            .collect()
+        self.utilization.clone()
     }
 
     /// The admission-queue depth time series as `(instant, depth)`
@@ -305,10 +303,10 @@ impl Trace {
         spans.sort_by(|a, b| a.start.total_cmp(&b.start));
         let busy: f64 = spans.iter().map(|s| s.end - s.start).sum();
         let utilization = self
-            .utilization()
-            .into_iter()
+            .utilization
+            .iter()
             .find(|(r, _)| *r == resource)
-            .map_or_else(|| busy / self.horizon, |(_, u)| u);
+            .map_or_else(|| busy / self.horizon, |&(_, u)| u);
 
         // Interval covers over this resource's spans: when was
         // delivered work held (gate), when was work still in flight
@@ -608,10 +606,9 @@ impl StallBreakdown {
     }
 }
 
-/// The event sink the schedulers thread through. A disabled recorder
-/// (the default for every untraced entry point) reduces every hook to
-/// one inlined branch — the zero-cost path pinned by
-/// `benches/trace.rs`.
+/// The event sink of the traced entry points. Untraced entry points
+/// never build one; a disabled recorder (for callers that pick tracing
+/// at run time) reduces every hook to one inlined branch.
 #[derive(Clone, Debug)]
 pub struct Recorder {
     enabled: bool,
@@ -639,57 +636,6 @@ impl Recorder {
     /// event data that would be dropped anyway).
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Record one stage execution.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    pub fn stage(
-        &mut self,
-        image: usize,
-        stage: usize,
-        resource: StageResource,
-        layer: Option<LayerName>,
-        pending: f64,
-        ready: f64,
-        start: f64,
-        end: f64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.trace.stages.push(StageSpan {
-            image,
-            stage,
-            resource,
-            layer,
-            pending,
-            ready,
-            start,
-            end,
-        });
-    }
-
-    /// Record one interconnect hand-off.
-    #[inline]
-    pub fn transfer(
-        &mut self,
-        image: usize,
-        stage: usize,
-        to: StageResource,
-        start: f64,
-        end: f64,
-    ) {
-        if !self.enabled {
-            return;
-        }
-        self.trace.transfers.push(TransferSpan {
-            image,
-            stage,
-            to,
-            start,
-            end,
-        });
     }
 
     /// Record one admission-queue arrival.
@@ -724,16 +670,50 @@ impl Recorder {
         self.trace.faults.push(event);
     }
 
-    /// Stamp the run summary the aggregations need: the timeline's
-    /// per-image busy table (captured verbatim so
-    /// [`Trace::utilization`] reproduces `ServeReport`'s arithmetic
-    /// bit-for-bit), the image count, and the makespan.
+    /// Record one committed stage execution under image id `image`:
+    /// the stage span plus, when a hand-off precedes it, the transfer
+    /// span. The single place scheduler executions become trace events.
     #[inline]
-    pub fn run_summary(&mut self, timeline: &[StageTiming], images: usize, makespan: f64) {
+    pub(crate) fn span(&mut self, image: usize, span: &Span) {
         if !self.enabled {
             return;
         }
-        self.trace.per_image_busy = crate::partition::resource_busy(timeline);
+        self.trace.stages.push(StageSpan {
+            image,
+            stage: span.stage,
+            resource: span.resource,
+            layer: span.layer,
+            pending: span.pending,
+            ready: span.transfer.map_or(span.pending, |(_, end)| end),
+            start: span.start,
+            end: span.end,
+        });
+        if let Some((start, end)) = span.transfer {
+            self.trace.transfers.push(TransferSpan {
+                image,
+                stage: span.stage,
+                to: span.resource,
+                start,
+                end,
+            });
+        }
+    }
+
+    /// Stamp the run summary the aggregations need: the per-resource
+    /// utilization the caller reports (stored verbatim so
+    /// [`Trace::utilization`] is bit-equal to it), the image count, and
+    /// the makespan.
+    #[inline]
+    pub fn run_summary(
+        &mut self,
+        utilization: Vec<(StageResource, f64)>,
+        images: usize,
+        makespan: f64,
+    ) {
+        if !self.enabled {
+            return;
+        }
+        self.trace.utilization = utilization;
         self.trace.images = images;
         self.trace.horizon = makespan;
     }
@@ -927,11 +907,22 @@ mod tests {
     #[test]
     fn disabled_recorder_drops_everything() {
         let mut rec = Recorder::disabled();
-        rec.stage(0, 0, StageResource::Ps, None, 0.0, 0.0, 0.0, 1.0);
-        rec.transfer(0, 1, StageResource::Pl(0), 1.0, 1.5);
+        rec.span(
+            0,
+            &Span {
+                image: 0,
+                stage: 1,
+                resource: StageResource::Pl(0),
+                layer: None,
+                pending: 1.0,
+                start: 1.5,
+                end: 2.0,
+                transfer: Some((1.0, 1.5)),
+            },
+        );
         rec.arrival(0.0);
         rec.dispatch(0.5, 1);
-        rec.run_summary(&[], 1, 1.0);
+        rec.run_summary(vec![(StageResource::Ps, 0.5)], 1, 1.0);
         assert_eq!(rec.finish(), Trace::default());
     }
 
@@ -955,7 +946,7 @@ mod tests {
         };
         trace.images = 1;
         trace.horizon = 6.0;
-        trace.per_image_busy = vec![(StageResource::Pl(0), 1.0)];
+        trace.utilization = vec![(StageResource::Pl(0), 1.0 / 6.0)];
         let metrics = trace.metrics();
         let pl = &metrics.resources[0];
         assert!((pl.stall.upstream - 1.0).abs() < 1e-12);
@@ -987,19 +978,33 @@ mod tests {
         let mut rec = Recorder::enabled();
         rec.arrival(0.0);
         rec.dispatch(0.0, 1);
-        rec.stage(0, 0, StageResource::Ps, None, 0.0, 0.0, 0.0, 0.01);
-        rec.transfer(0, 1, StageResource::Pl(1), 0.01, 0.012);
-        rec.stage(
+        rec.span(
             0,
-            1,
-            StageResource::Pl(1),
-            Some(LayerName::Layer1),
-            0.01,
-            0.012,
-            0.012,
-            0.03,
+            &Span {
+                image: 0,
+                stage: 0,
+                resource: StageResource::Ps,
+                layer: None,
+                pending: 0.0,
+                start: 0.0,
+                end: 0.01,
+                transfer: None,
+            },
         );
-        rec.run_summary(&[], 1, 0.03);
+        rec.span(
+            0,
+            &Span {
+                image: 0,
+                stage: 1,
+                resource: StageResource::Pl(1),
+                layer: Some(LayerName::Layer1),
+                pending: 0.01,
+                start: 0.012,
+                end: 0.03,
+                transfer: Some((0.01, 0.012)),
+            },
+        );
+        rec.run_summary(Vec::new(), 1, 0.03);
         let mut trace = rec.finish();
         trace.set_broadcast_seconds(0.002);
         let json = trace.to_chrome_json();

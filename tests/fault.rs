@@ -20,14 +20,14 @@
 //! * **Proptests** — degraded goodput never exceeds fault-free;
 //!   availability stays in [0, 1] (and is exactly 1 for the empty
 //!   plan); image conservation under arbitrary crash plans; empty-plan
-//!   schedule bit-identity over random timelines.
+//!   and late-window schedule bit-identity over random timelines.
 
 use std::sync::OnceLock;
 
 use odenet_suite::prelude::*;
 use proptest::prelude::*;
 use zynq_sim::cluster::{pipelined_schedule_released, StageTiming};
-use zynq_sim::serve::serve_timeline_traced;
+use zynq_sim::serve::serve_timeline;
 use zynq_sim::{faulted_schedule_released, restage_seconds};
 
 fn rack(boards: usize) -> Cluster {
@@ -232,6 +232,37 @@ fn engine_serve_reports_availability_and_traces_faults() {
     assert!(json.contains("link degrade"));
 }
 
+/// Under faults the trace's utilization is the report's, bit for bit:
+/// the busy time the faulted run actually spent (here, board 1's PL
+/// slowed 2× for the whole run), not the nominal timeline's table —
+/// and `Trace::metrics()` inherits the same numbers.
+#[test]
+fn faulted_trace_utilization_matches_the_report() {
+    let net = Network::new(spec(), 2024);
+    let engine = grouped_engine(&net);
+    let plan = engine.cluster_plan().expect("plan");
+    let req = poisson_at(plan, 0.8, 96);
+    let faults = FaultPlan::new(vec![FaultEvent::BoardSlowdown {
+        board: 1,
+        at: 0.0,
+        factor: 2.0,
+        duration: 1e3,
+    }]);
+    let report = serve_faulted(plan, &req, &faults, &HealthPolicy::default(), true)
+        .expect("the slowed serve completes");
+    let trace = report.trace().expect("tracing was requested");
+    assert_eq!(trace.utilization(), report.utilization);
+    let metrics = trace.metrics();
+    for &(resource, utilization) in &report.utilization {
+        let m = metrics
+            .resources
+            .iter()
+            .find(|m| m.resource == resource)
+            .expect("every busy resource has spans");
+        assert_eq!(m.utilization, utilization, "{resource:?}");
+    }
+}
+
 /// Zero cost when disabled: with the empty plan, the low-level
 /// schedule, the serve report, and the trace are all bit-identical to
 /// the pre-existing fault-free path.
@@ -242,7 +273,7 @@ fn empty_plan_is_bit_identical_end_to_end() {
     let plan = engine.cluster_plan().expect("plan");
     let req = poisson_at(plan, 0.8, 128);
 
-    let free = serve_timeline_traced(plan.timeline(), &req, true).expect("fault-free");
+    let free = serve_timeline(plan.timeline(), &req, true).expect("fault-free");
     let faulted = serve_faulted(
         plan,
         &req,
@@ -476,6 +507,43 @@ fn chain_timeline() -> impl Strategy<Value = Vec<StageTiming>> {
     })
 }
 
+/// A random pipeline with a shared resource — the head PS runs both the
+/// first and the last segment — and one interior stage replicated
+/// round-robin onto a second fabric (board 8, unused otherwise).
+fn shared_replicated_timeline() -> impl Strategy<Value = Vec<StageTiming>> {
+    use zynq_sim::cluster::StageResource;
+    (
+        prop::collection::vec((0.001f64..0.3, 0.0f64..0.01), 3..7),
+        0usize..5,
+    )
+        .prop_map(|(stages, pick)| {
+            let n = stages.len();
+            let replicated = 1 + pick % (n - 2);
+            stages
+                .into_iter()
+                .enumerate()
+                .map(|(j, (seconds, transfer_in))| {
+                    let resource = if j == 0 || j == n - 1 {
+                        StageResource::Ps
+                    } else {
+                        StageResource::Pl(j - 1)
+                    };
+                    StageTiming {
+                        resource,
+                        layer: None,
+                        seconds,
+                        transfer_in,
+                        replicas: if j == replicated {
+                            vec![resource, StageResource::Pl(8)]
+                        } else {
+                            Vec::new()
+                        },
+                    }
+                })
+                .collect()
+        })
+}
+
 /// Degradation-only fault plans (slowdowns, hangs, link degrades) with
 /// event `k` windowed inside `[10k, 10k + 9)` — disjoint by
 /// construction, so any mix is a valid plan.
@@ -565,6 +633,46 @@ proptest! {
         let faulted =
             faulted_schedule_released(&timeline, &releases, &FaultPlan::none());
         prop_assert_eq!(base.makespan.to_bits(), faulted.makespan.to_bits());
+        for (b, f) in base.finishes.iter().zip(&faulted.finishes) {
+            prop_assert_eq!(b.to_bits(), f.to_bits());
+        }
+        for (b, f) in base.starts.iter().zip(&faulted.starts) {
+            prop_assert_eq!(b.to_bits(), f.to_bits());
+        }
+    }
+
+    /// Degradation windows that open only after the fault-free makespan
+    /// never bind, so the windowed placement rule reproduces the
+    /// fault-free schedule bit for bit — over timelines with a shared
+    /// resource and a replicated stage, on every board.
+    #[test]
+    fn late_windows_schedule_bit_identical_to_fault_free(
+        timeline in shared_replicated_timeline(),
+        raw in prop::collection::vec(
+            (0usize..3, 0usize..9, 1.0f64..4.0, 0.05f64..5.0, 0.1f64..1.0, 0.0f64..5.0),
+            1..4,
+        ),
+        gaps in prop::collection::vec(0.0f64..0.2, 1..24),
+    ) {
+        let mut t = 0.0;
+        let releases: Vec<f64> = gaps.iter().map(|g| { t += g; t }).collect();
+        let base = pipelined_schedule_released(&timeline, &releases);
+        let events = raw
+            .into_iter()
+            .map(|(kind, board, factor, duration, bandwidth_factor, offset)| {
+                let at = base.makespan + offset;
+                match kind {
+                    0 => FaultEvent::BoardSlowdown { board, at, factor, duration },
+                    1 => FaultEvent::BoardHang { board, at, duration },
+                    _ => FaultEvent::LinkDegrade { at, bandwidth_factor, duration },
+                }
+            })
+            .collect();
+        let faulted =
+            faulted_schedule_released(&timeline, &releases, &FaultPlan::new(events));
+        prop_assert_eq!(base.makespan.to_bits(), faulted.makespan.to_bits());
+        prop_assert_eq!(base.head_idle.to_bits(), faulted.head_idle.to_bits());
+        prop_assert_eq!(base.finishes.len(), faulted.finishes.len());
         for (b, f) in base.finishes.iter().zip(&faulted.finishes) {
             prop_assert_eq!(b.to_bits(), f.to_bits());
         }

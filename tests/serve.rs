@@ -102,11 +102,13 @@ fn deadline_dispatch_beats_fixed_batch_32_on_p99_at_half_ceiling() {
     let deadline = serve_timeline(
         plan.timeline(),
         &poisson_at(&plan, 0.5, Dispatch::default()),
+        false,
     )
     .expect("valid");
     let fixed = serve_timeline(
         plan.timeline(),
         &poisson_at(&plan, 0.5, Dispatch::FixedBatch { size: 32 }),
+        false,
     )
     .expect("valid");
     assert!(
@@ -132,11 +134,13 @@ fn near_saturation_goodput_holds_against_fixed_batch_32() {
     let deadline = serve_timeline(
         plan.timeline(),
         &poisson_at(&plan, 0.9, Dispatch::default()),
+        false,
     )
     .expect("valid");
     let fixed = serve_timeline(
         plan.timeline(),
         &poisson_at(&plan, 0.9, Dispatch::FixedBatch { size: 32 }),
+        false,
     )
     .expect("valid");
     assert!(
@@ -163,6 +167,7 @@ fn overload_goodput_saturates_at_the_pipelined_ceiling() {
     let report = serve_timeline(
         plan.timeline(),
         &poisson_at(&plan, 1.2, Dispatch::default()),
+        false,
     )
     .expect("valid");
     let batch32 = 32.0 / plan.batch_seconds(32, Schedule::Pipelined);
@@ -178,6 +183,7 @@ fn overload_goodput_saturates_at_the_pipelined_ceiling() {
     let light = serve_timeline(
         plan.timeline(),
         &poisson_at(&plan, 0.2, Dispatch::default()),
+        false,
     )
     .expect("valid");
     assert!(report.latency_p99 > 3.0 * light.latency_p99);
@@ -197,8 +203,8 @@ fn pinned_poisson_serve_report_is_bit_stable() {
         seed: 7,
         window: Window::default(),
     };
-    let report = serve_timeline(plan.timeline(), &req).expect("valid");
-    let again = serve_timeline(plan.timeline(), &req).expect("valid");
+    let report = serve_timeline(plan.timeline(), &req, false).expect("valid");
+    let again = serve_timeline(plan.timeline(), &req, false).expect("valid");
     assert_eq!(report, again, "bit-stable");
 
     // The exact run, pinned: integers to the image, floats to the ulp
@@ -281,10 +287,10 @@ proptest! {
             window: Window::default(),
         };
         let deadline =
-            serve_timeline(&timeline, &request(Dispatch::Deadline { deadline: 0.0 }))
+            serve_timeline(&timeline, &request(Dispatch::Deadline { deadline: 0.0 }), false)
                 .expect("valid");
         let fixed =
-            serve_timeline(&timeline, &request(Dispatch::FixedBatch { size: 32 }))
+            serve_timeline(&timeline, &request(Dispatch::FixedBatch { size: 32 }), false)
                 .expect("valid");
         prop_assert!(
             deadline.latency_p99 <= fixed.latency_p99 + 1e-9,
@@ -322,6 +328,7 @@ proptest! {
                 seed: 3,
                 window: Window::default(),
             },
+            false,
         )
         .expect("valid");
         let ceiling = 1.0 / bottleneck_seconds(&timeline);

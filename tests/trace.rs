@@ -14,7 +14,7 @@ use proptest::prelude::*;
 use zynq_sim::cluster::{
     pipelined_schedule_released, pipelined_schedule_released_traced, StageTiming,
 };
-use zynq_sim::serve::{serve_timeline, serve_timeline_traced};
+use zynq_sim::serve::serve_timeline;
 
 fn two_arty() -> Cluster {
     Cluster::homogeneous(&ARTY_Z7_20, 2, Interconnect::GIGABIT_ETHERNET)
@@ -81,7 +81,7 @@ fn replicated_rack_trace_names_the_head_ps_as_bottleneck() {
         seed: 42,
         window: Window::default(),
     };
-    let report = serve_timeline_traced(plan.timeline(), &req, true).expect("valid request");
+    let report = serve_timeline(plan.timeline(), &req, true).expect("valid request");
     let trace = report.trace().expect("tracing was requested");
 
     assert_eq!(trace.images(), 256);
@@ -148,8 +148,8 @@ fn traced_serve_report_is_bit_identical_to_untraced() {
         seed: 7,
         window: Window::default(),
     };
-    let traced = serve_timeline_traced(plan.timeline(), &req, true).expect("valid");
-    let untraced = serve_timeline(plan.timeline(), &req).expect("valid");
+    let traced = serve_timeline(plan.timeline(), &req, true).expect("valid");
+    let untraced = serve_timeline(plan.timeline(), &req, false).expect("valid");
     assert!(untraced.trace().is_none(), "untraced runs carry no trace");
     assert_eq!(traced.images, untraced.images);
     assert_eq!(traced.batches, untraced.batches);
@@ -198,7 +198,7 @@ fn golden_chrome_export_is_byte_stable() {
         seed: 0,
         window: Window::default(),
     };
-    let report = serve_timeline_traced(&timeline, &req, true).expect("valid");
+    let report = serve_timeline(&timeline, &req, true).expect("valid");
     let mut trace = report.trace().expect("traced").clone();
     trace.set_broadcast_seconds(0.0002);
     let json = trace.to_chrome_json();
@@ -229,7 +229,7 @@ fn checker_rejects_corrupted_exports() {
         seed: 1,
         window: Window::default(),
     };
-    let report = serve_timeline_traced(&timeline, &req, true).expect("valid");
+    let report = serve_timeline(&timeline, &req, true).expect("valid");
     let json = report.trace().expect("traced").to_chrome_json();
     let begin = json
         .lines()
@@ -407,7 +407,7 @@ proptest! {
             seed: 5,
             window: Window::default(),
         };
-        let report = serve_timeline_traced(&timeline, &req, true).expect("valid");
+        let report = serve_timeline(&timeline, &req, true).expect("valid");
         let trace = report.trace().expect("traced");
 
         prop_assert_eq!(trace.horizon(), report.horizon);
