@@ -2,8 +2,10 @@
 //!
 //! * `serve_dispatch/*` — the micro-batcher's release planning over a
 //!   256-image Poisson stream on the prebuilt 2-board plan timeline:
-//!   the zero-deadline fast path (no pipeline replays), the deadline
-//!   policy (one event-sim replay per dispatch), and fixed-batch-32.
+//!   the zero-deadline fast path (never consults the pipeline), the
+//!   deadline policy (one resumable event sim, advanced dispatch by
+//!   dispatch), and fixed-batch-32 — plus the deadline policy over a
+//!   16 384-image stream, where cost must grow linearly with length.
 //!   Dispatch is the per-request hot path of a real serving loop, so
 //!   its cost must stay far below one bottleneck interval.
 //! * `serve_sweep/*` — the full 12-point `sweep_timeline` load/latency
@@ -22,6 +24,8 @@ use zynq_sim::{
 };
 
 const IMAGES: usize = 256;
+/// The long stream the deadline policy must plan in linear time.
+const LONG: usize = 16_384;
 
 fn rack_plan() -> ClusterPlan {
     let spec = NetSpec::new(Variant::OdeNet, 20);
@@ -63,6 +67,12 @@ fn bench_dispatch(c: &mut Criterion) {
             b.iter(|| black_box(MicroBatcher::new(dispatch).release_plan(&timeline, &arrivals)))
         });
     }
+    let long = ArrivalProcess::Poisson { rate }.arrivals(LONG, 42);
+    g.throughput(Throughput::Elements(LONG as u64));
+    g.bench_with_input(BenchmarkId::new("deadline-50ms", LONG), &(), |b, _| {
+        let dispatch = Dispatch::Deadline { deadline: 0.05 };
+        b.iter(|| black_box(MicroBatcher::new(dispatch).release_plan(&timeline, &long)))
+    });
     g.finish();
 }
 

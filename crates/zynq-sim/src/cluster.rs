@@ -60,6 +60,8 @@
 //! drain-then-replan failover over the survivors). An empty plan is
 //! bit-identical to [`pipelined_schedule_released`] by construction.
 
+use std::collections::VecDeque;
+
 use crate::board::Board;
 use crate::engine::{EngineError, Offload};
 use crate::partition::{partition_with, select_with, shard_infeasible, Partitioner};
@@ -757,20 +759,210 @@ pub(crate) struct Span {
 /// for image `image` entering `stage` with its input pending at
 /// `pending`, given the per-slot free instants.
 #[inline]
-fn place_nominal(stage: &StageTiming, image: usize, pending: f64, free: &[f64]) -> (f64, f64, f64) {
+pub(crate) fn place_nominal(
+    stage: &StageTiming,
+    image: usize,
+    pending: f64,
+    free: &[f64],
+) -> (f64, f64, f64) {
     let start = (pending + stage.transfer_in).max(free[stage.resource_for(image).slot()]);
     (stage.transfer_in, start, stage.seconds)
 }
 
-/// The event-driven scheduler core behind every pipelined schedule:
-/// every resource (head PS, each board's PL) executes one stage at a
-/// time to completion, and the globally earliest-startable pending
-/// stage commits next. `place` prices an image entering a stage as
+/// The event-driven scheduler core behind every pipelined schedule, as
+/// a resumable state: every resource (head PS, each board's PL)
+/// executes one stage at a time to completion, and the globally
+/// earliest-startable pending stage commits next (ties to the oldest
+/// image, so downstream segments outrank later images' prefixes on a
+/// shared resource). A replicated stage pins image `i` to its
+/// round-robin replica — replicas are distinct resources, so two images
+/// on different replicas overlap.
+///
+/// Each stage starts images in strict index order (per-stage FIFO).
+/// Unreplicated timelines already process in image order — identical
+/// timings and oldest-image tie-breaks keep every stage FIFO on their
+/// own, so the gate never binds. With replicas it *does* bind: an image
+/// that finished upstream early on a fresh replica may not overtake an
+/// older image downstream. That forbids the classic list-scheduling
+/// timing anomaly, making added replica capacity monotone — replication
+/// never worsens the makespan (pinned by proptest in `tests/replica.rs`).
+///
+/// The gate is also what keeps the core cheap: stage `s` can only start
+/// image `started[s]`, so a step prices the S stage heads, not every
+/// image. Images finish in index order too, so per-image state covers
+/// only the window of unfinished images.
+#[derive(Clone, Debug)]
+pub(crate) struct Pipeline<'t> {
+    timeline: &'t [StageTiming],
+    /// Per-slot instant the resource frees.
+    free: Vec<f64>,
+    /// Images started so far per stage; the last entry counts the
+    /// finished images, so it indexes `ready`'s front.
+    started: Vec<usize>,
+    /// Per unfinished image: the instant its next stage's input is
+    /// pending (its release before the first stage).
+    ready: VecDeque<f64>,
+    /// Latest completion of any finished image.
+    makespan: f64,
+}
+
+impl<'t> Pipeline<'t> {
+    /// An idle pipeline over `timeline` with no images.
+    pub(crate) fn new(timeline: &'t [StageTiming]) -> Self {
+        let slots = timeline
+            .iter()
+            .flat_map(|s| s.resources())
+            .map(|r| r.slot())
+            .max()
+            .map_or(1, |m| m + 1);
+        Pipeline {
+            timeline,
+            free: vec![0.0; slots],
+            started: vec![0; timeline.len()],
+            ready: VecDeque::new(),
+            makespan: 0.0,
+        }
+    }
+
+    /// Admit the next image, released at `release`.
+    pub(crate) fn push(&mut self, release: f64) {
+        self.ready.push_back(release);
+    }
+
+    /// Commit the earliest-startable pending stage, if one exists and
+    /// starts before `cutoff` (`f64::INFINITY` commits unconditionally).
+    /// Returns the committed span and its priced hand-off seconds.
+    pub(crate) fn step<P>(&mut self, cutoff: f64, place: &mut P) -> Option<(Span, f64)>
+    where
+        P: FnMut(&StageTiming, usize, f64, &[f64]) -> (f64, f64, f64),
+    {
+        let base = self.started.last().copied().unwrap_or(0);
+        let pushed = base + self.ready.len();
+        // Stage heads from the last stage back: their images ascend,
+        // so the strict `<` keeps ties on the oldest image.
+        let mut best: Option<(usize, (f64, f64, f64))> = None;
+        for s in (0..self.timeline.len()).rev() {
+            let i = self.started[s];
+            let upstream = if s == 0 { pushed } else { self.started[s - 1] };
+            if i >= upstream {
+                continue; // image `i` has not cleared stage `s - 1` yet
+            }
+            let placed = place(&self.timeline[s], i, self.ready[i - base], &self.free);
+            if best.is_none_or(|(_, (_, b, _))| placed.1 < b) {
+                best = Some((s, placed));
+            }
+        }
+        let (s, (t_in, start, duration)) = best?;
+        if !(start < cutoff || cutoff == f64::INFINITY) {
+            return None;
+        }
+        let stage = &self.timeline[s];
+        let i = self.started[s];
+        let pending = self.ready[i - base];
+        let done = start + duration;
+        let resource = stage.resource_for(i);
+        self.free[resource.slot()] = done;
+        self.started[s] += 1;
+        self.ready[i - base] = done;
+        if s + 1 == self.timeline.len() {
+            // The last stage is FIFO too, so `i` is the window's front.
+            self.makespan = self.makespan.max(done);
+            self.ready.pop_front();
+        }
+        let span = Span {
+            image: i,
+            stage: s,
+            resource,
+            layer: stage.layer,
+            pending,
+            start,
+            end: done,
+            transfer: (t_in > 0.0).then_some((pending, pending + t_in)),
+        };
+        Some((span, t_in))
+    }
+
+    /// Commit every stage that starts before `cutoff` (see
+    /// [`Pipeline::step`]).
+    pub(crate) fn run<P>(&mut self, cutoff: f64, place: &mut P)
+    where
+        P: FnMut(&StageTiming, usize, f64, &[f64]) -> (f64, f64, f64),
+    {
+        while self.step(cutoff, place).is_some() {}
+    }
+
+    /// The instant the **head resource** runs out of committed work:
+    /// the next dispatch can begin as soon as ANY replica of the first
+    /// stage frees — with placement groups that is the least-loaded
+    /// group head, unreplicated it is the head PS.
+    pub(crate) fn head_idle(&self) -> f64 {
+        self.timeline.first().map_or(0.0, |s| {
+            s.resources()
+                .iter()
+                .map(|r| self.free[r.slot()])
+                .fold(f64::INFINITY, f64::min)
+        })
+    }
+}
+
+/// Run every image of `releases` through a fresh [`Pipeline`] to
+/// completion. `place` prices an image entering a stage as
 /// `(transfer_seconds, start, duration)` — the nominal rule, or the
 /// fault-aware one that applies degradation windows — and `commit`
 /// observes each committed execution. Both hooks are generic, so each
 /// caller gets its own monomorphized loop.
 pub(crate) fn schedule_with<P, C>(
+    timeline: &[StageTiming],
+    releases: &[f64],
+    mut place: P,
+    mut commit: C,
+) -> ServedRun
+where
+    P: FnMut(&StageTiming, usize, f64, &[f64]) -> (f64, f64, f64),
+    C: FnMut(&Span),
+{
+    let images = releases.len();
+    if timeline.is_empty() {
+        return ServedRun {
+            makespan: 0.0,
+            starts: vec![0.0; images],
+            finishes: vec![0.0; images],
+            head_idle: 0.0,
+        };
+    }
+    let mut pipeline = Pipeline::new(timeline);
+    for &release in releases {
+        pipeline.push(release);
+    }
+    let last = timeline.len() - 1;
+    let mut starts = Vec::with_capacity(images);
+    let mut finishes = Vec::with_capacity(images);
+    // Both ends are FIFO, so images reach them in index order.
+    while let Some((span, t_in)) = pipeline.step(f64::INFINITY, &mut place) {
+        if span.stage == 0 {
+            // Latency runs from the moment the image's first transfer
+            // begins (a leading hand-off is part of serving the image).
+            starts.push(span.start - t_in);
+        }
+        if span.stage == last {
+            finishes.push(span.end);
+        }
+        commit(&span);
+    }
+    ServedRun {
+        makespan: pipeline.makespan,
+        starts,
+        finishes,
+        head_idle: pipeline.head_idle(),
+    }
+}
+
+/// Test oracle: the all-images scan [`schedule_with`] replaced — every
+/// step prices every image's next stage, which makes a schedule cost
+/// O(N²·S). Kept verbatim so the stage-head core is checked against it
+/// under every placement hook.
+#[cfg(test)]
+pub(crate) fn naive_schedule_with<P, C>(
     timeline: &[StageTiming],
     releases: &[f64],
     mut place: P,
@@ -792,33 +984,16 @@ where
     let mut ready = releases.to_vec();
     let mut starts = vec![0.0f64; images];
     let mut finishes = vec![0.0f64; images];
-    // Images started so far per stage: each stage starts images in
-    // strict index order (per-stage FIFO). Unreplicated timelines
-    // already process in image order — identical timings and
-    // oldest-image tie-breaks keep every stage FIFO on their own, so
-    // the gate never binds and the schedule is unchanged. With
-    // replicas it *does* bind: an image that finished upstream early
-    // on a fresh replica may not overtake an older image downstream.
-    // That forbids the classic list-scheduling timing anomaly, making
-    // added replica capacity monotone — replication never worsens the
-    // makespan (pinned by proptest in `tests/replica.rs`).
     let mut started = vec![0usize; timeline.len()];
     let mut makespan = 0.0f64;
     for _ in 0..images * timeline.len() {
-        // The globally earliest-startable pending stage among each
-        // stage's oldest pending image; ties go to the oldest image so
-        // downstream segments outrank later images' prefixes on a
-        // shared resource. A replicated stage pins image `i` to its
-        // round-robin replica — replicas are distinct resources, so
-        // two images on different replicas overlap. The winner's
-        // placement is kept, so `place` runs once per candidate.
         let mut best: Option<(usize, (f64, f64, f64))> = None;
         for i in 0..images {
             let Some(stage) = timeline.get(next[i]) else {
                 continue;
             };
             if started[next[i]] != i {
-                continue; // FIFO: an older image starts this stage first.
+                continue;
             }
             let placed = place(stage, i, ready[i], &free);
             if best.is_none_or(|(_, (_, b, _))| placed.1 < b) {
@@ -842,8 +1017,6 @@ where
         free[resource.slot()] = done;
         started[next[i]] += 1;
         if next[i] == 0 {
-            // Latency runs from the moment the image's first transfer
-            // begins (a leading hand-off is part of serving the image).
             starts[i] = start - t_in;
         }
         ready[i] = done;
@@ -853,9 +1026,6 @@ where
             makespan = makespan.max(done);
         }
     }
-    // The next dispatch can begin as soon as ANY replica of the first
-    // stage frees — with placement groups that is the least-loaded
-    // group head, unreplicated it is the head PS.
     let head_idle = timeline.first().map_or(0.0, |s| {
         s.resources()
             .iter()
@@ -868,6 +1038,17 @@ where
         finishes,
         head_idle,
     }
+}
+
+/// Assert two schedules agree bit for bit (test helper shared by the
+/// scheduler-core oracles).
+#[cfg(test)]
+pub(crate) fn assert_same_run(a: &ServedRun, b: &ServedRun) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "makespan");
+    assert_eq!(bits(&a.starts), bits(&b.starts), "starts");
+    assert_eq!(bits(&a.finishes), bits(&b.finishes), "finishes");
+    assert_eq!(a.head_idle.to_bits(), b.head_idle.to_bits(), "head_idle");
 }
 
 impl ClusterPlan {
@@ -1244,6 +1425,130 @@ mod tests {
         }
         let solo = pipelined_schedule(plan.timeline(), 1);
         assert!((solo.latencies[0] - plan.total_seconds()).abs() < 1e-9);
+    }
+
+    /// Shared head PS (first and last segment), a stage replicated onto
+    /// a second fabric, and one zero-length hand-off.
+    fn shared_replicated() -> Vec<StageTiming> {
+        let stage = |resource, seconds, transfer_in, replicas| StageTiming {
+            resource,
+            layer: None,
+            seconds,
+            transfer_in,
+            replicas,
+        };
+        vec![
+            stage(StageResource::Ps, 0.004, 0.0, Vec::new()),
+            stage(
+                StageResource::Pl(0),
+                0.011,
+                0.0005,
+                vec![StageResource::Pl(0), StageResource::Pl(2)],
+            ),
+            stage(StageResource::Pl(1), 0.006, 0.0, Vec::new()),
+            stage(StageResource::Ps, 0.003, 0.0007, Vec::new()),
+        ]
+    }
+
+    /// Release lists the cores are compared on: a closed batch, a
+    /// spaced stream, and a stream with tied releases.
+    fn release_lists(images: usize) -> Vec<Vec<f64>> {
+        vec![
+            vec![0.0; images],
+            (0..images).map(|i| i as f64 * 0.007).collect(),
+            (0..images).map(|i| (i / 3) as f64 * 0.013).collect(),
+        ]
+    }
+
+    #[test]
+    fn stage_head_core_matches_the_all_images_scan() {
+        let spec = NetSpec::new(Variant::OdeNet, 20);
+        let plan = plan_cluster(&spec, &request(2)).expect("plans");
+        for timeline in [plan.timeline().to_vec(), shared_replicated()] {
+            for releases in release_lists(40) {
+                let mut fast = Vec::new();
+                let mut naive = Vec::new();
+                let key = |s: &Span| (s.image, s.stage, s.start.to_bits(), s.end.to_bits());
+                let a = schedule_with(&timeline, &releases, place_nominal, |s| fast.push(key(s)));
+                let b = naive_schedule_with(&timeline, &releases, place_nominal, |s| {
+                    naive.push(key(s))
+                });
+                assert_same_run(&a, &b);
+                assert_eq!(fast, naive, "same commits in the same order");
+            }
+        }
+        // No stages: every image starts and finishes at 0.
+        let none = schedule_with(&[], &[0.5, 1.0], place_nominal, |_| {});
+        assert_same_run(
+            &none,
+            &naive_schedule_with(&[], &[0.5, 1.0], place_nominal, |_| {}),
+        );
+    }
+
+    /// Resuming is exact: admitting batches one dispatch instant at a
+    /// time — committing only what starts before each instant, then
+    /// pushing the batch — commits the same spans in the same order as
+    /// one schedule over every release, and a drained copy at each
+    /// boundary sees the head-idle of the releases so far.
+    #[test]
+    fn resumed_pipeline_matches_one_shot_schedule() {
+        let spec = NetSpec::new(Variant::OdeNet, 20);
+        let plan = plan_cluster(&spec, &request(2)).expect("plans");
+        for timeline in [plan.timeline().to_vec(), shared_replicated()] {
+            for releases in release_lists(60) {
+                let key = |s: &Span| (s.image, s.stage, s.start.to_bits(), s.end.to_bits());
+                let mut resumed = Vec::new();
+                let mut pipeline = Pipeline::new(&timeline);
+                let mut place = place_nominal;
+                let mut i = 0;
+                while i < releases.len() {
+                    let at = releases[i];
+                    while let Some((span, _)) = pipeline.step(at, &mut place) {
+                        resumed.push(key(&span));
+                    }
+                    while i < releases.len() && releases[i] == at {
+                        pipeline.push(at);
+                        i += 1;
+                    }
+                    let mut drained = pipeline.clone();
+                    drained.run(f64::INFINITY, &mut place);
+                    let prefix =
+                        naive_schedule_with(&timeline, &releases[..i], place_nominal, |_| {});
+                    assert_eq!(drained.head_idle().to_bits(), prefix.head_idle.to_bits());
+                }
+                while let Some((span, _)) = pipeline.step(f64::INFINITY, &mut place) {
+                    resumed.push(key(&span));
+                }
+                let mut one_shot = Vec::new();
+                naive_schedule_with(&timeline, &releases, place_nominal, |s| {
+                    one_shot.push(key(s))
+                });
+                assert_eq!(resumed, one_shot);
+            }
+        }
+    }
+
+    #[test]
+    fn schedule_with_prices_at_most_s_heads_per_committed_stage() {
+        let spec = NetSpec::new(Variant::OdeNet, 20);
+        let plan = plan_cluster(&spec, &request(2)).expect("plans");
+        for timeline in [plan.timeline().to_vec(), shared_replicated()] {
+            let s = timeline.len() as u64;
+            for releases in release_lists(200) {
+                let mut evaluations = 0u64;
+                let mut commits = 0u64;
+                let counted = |stage: &StageTiming, i: usize, pending: f64, free: &[f64]| {
+                    evaluations += 1;
+                    place_nominal(stage, i, pending, free)
+                };
+                schedule_with(&timeline, &releases, counted, |_| commits += 1);
+                assert_eq!(commits, releases.len() as u64 * s);
+                assert!(
+                    evaluations <= s * commits,
+                    "{evaluations} evaluations for {commits} commits over {s} stages"
+                );
+            }
+        }
     }
 
     #[test]

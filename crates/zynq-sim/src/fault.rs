@@ -990,6 +990,81 @@ mod tests {
         assert_eq!(base.head_idle.to_bits(), faulted.head_idle.to_bits());
     }
 
+    /// The stage-head core under the fault-aware placement hook agrees
+    /// bit for bit with the all-images scan it replaced, over seeded
+    /// slowdown, hang and link-degrade windows.
+    #[test]
+    fn fault_aware_core_matches_the_all_images_scan() {
+        use crate::cluster::{assert_same_run, naive_schedule_with};
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut replicated = chain();
+        replicated.push(StageTiming {
+            resource: StageResource::Pl(2),
+            layer: Some(LayerName::Layer3_2),
+            seconds: 0.025,
+            transfer_in: 0.0,
+            replicas: vec![StageResource::Pl(2), StageResource::Pl(3)],
+        });
+        replicated.push(StageTiming {
+            resource: StageResource::Ps,
+            layer: None,
+            seconds: 0.004,
+            transfer_in: 0.002,
+            replicas: Vec::new(),
+        });
+        for seed in 0..24u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // One window of each kind, at a random board and instant.
+            let board = rng.random_range(0..2usize);
+            let plan = FaultPlan::new(vec![
+                FaultEvent::BoardSlowdown {
+                    board,
+                    at: rng.random::<f64>() * 0.3,
+                    factor: 1.0 + rng.random::<f64>() * 3.0,
+                    duration: rng.random::<f64>() * 0.4,
+                },
+                FaultEvent::BoardHang {
+                    board: 1 - board,
+                    at: rng.random::<f64>() * 0.3,
+                    duration: rng.random::<f64>() * 0.1,
+                },
+                FaultEvent::LinkDegrade {
+                    at: rng.random::<f64>() * 0.3,
+                    bandwidth_factor: 0.1 + rng.random::<f64>() * 0.9,
+                    duration: rng.random::<f64>() * 0.4,
+                },
+            ]);
+            let windows = FaultWindows::from_plan(&plan, 2);
+            let place = |stage: &StageTiming, image, pending, free: &[f64]| {
+                windows.place(stage, image, pending, free)
+            };
+            let mut t = 0.0;
+            let releases: Vec<f64> = (0..32)
+                .map(|_| {
+                    // Every fourth gap is zero: tied releases.
+                    if rng.random_range(0..4u32) > 0 {
+                        t += rng.random::<f64>() * 0.02;
+                    }
+                    t
+                })
+                .collect();
+            for timeline in [chain(), replicated.clone()] {
+                let mut fast = Vec::new();
+                let mut naive = Vec::new();
+                let a = schedule_with(&timeline, &releases, place, |s| {
+                    fast.push(s.start.to_bits())
+                });
+                let b = naive_schedule_with(&timeline, &releases, place, |s| {
+                    naive.push(s.start.to_bits())
+                });
+                assert_same_run(&a, &b);
+                assert_eq!(fast, naive, "seed {seed}: same commits in the same order");
+            }
+        }
+    }
+
     #[test]
     fn crash_only_plan_keeps_low_level_schedule() {
         let timeline = chain();

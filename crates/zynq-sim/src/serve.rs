@@ -20,10 +20,15 @@
 //!    deadline expires ([`Dispatch::Deadline`]), or — as the
 //!    classical baseline — when a fixed batch fills
 //!    ([`Dispatch::FixedBatch`]);
-//! 4. the dispatched stream replays through
+//! 4. the dispatched stream runs once through
 //!    [`pipelined_schedule_released`], the release-aware form of the
 //!    `Schedule::Pipelined` event sim, and the per-image
 //!    queueing+service latencies fold into a [`ServeReport`].
+//!
+//! The deadline batcher consults the same event sim while it plans,
+//! but never replays it from t = 0: it keeps one resumable schedule,
+//! advanced to each dispatch instant, so planning an N-image stream
+//! costs time linear in N below saturation.
 //!
 //! Latency here is **total** latency — arrival to last-stage
 //! completion — so it prices queueing, batching delay, interconnect
@@ -80,7 +85,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::cluster::{
     bottleneck_seconds, pipelined_schedule_released, pipelined_schedule_released_traced,
-    steady_utilization, StageResource, StageTiming,
+    place_nominal, steady_utilization, Pipeline, StageResource, StageTiming,
 };
 use crate::engine::{latency_quantile, EngineError};
 use crate::trace::{Recorder, Trace};
@@ -321,8 +326,8 @@ impl AdmissionQueue {
 }
 
 /// Turns an arrival stream into a release schedule under a
-/// [`Dispatch`] policy, replaying the pipeline's head-idle instants
-/// from the event sim as it goes.
+/// [`Dispatch`] policy, following the pipeline's head-idle instants in
+/// the event sim as it goes.
 #[derive(Clone, Copy, Debug)]
 pub struct MicroBatcher {
     dispatch: Dispatch,
@@ -358,14 +363,38 @@ impl MicroBatcher {
     /// waiting image is `max(arrival, min(head_idle, arrival +
     /// deadline))`: wait for the head resource to free — it can
     /// coalesce a batch for nothing — but never past the deadline.
-    /// `head_idle` comes from re-running the release-aware event sim
-    /// over everything released so far, so the batcher sees exactly
-    /// the pipeline the dispatched work actually experiences (a
-    /// positive deadline costs one sim replay per dispatch; zero
-    /// deadline and fixed batching never consult the pipeline).
-    /// Every image that has arrived by the dispatch instant rides
-    /// along — a batch is "whatever is waiting", never a fixed shape.
+    /// `head_idle` is the instant the release-aware event sim of
+    /// everything dispatched so far leaves the head resource idle, so
+    /// the batcher sees exactly the pipeline the dispatched work
+    /// actually experiences. A positive deadline keeps that sim as one
+    /// resumable state: after each dispatch a copy of the images still
+    /// in flight runs to completion for `head_idle`, and the state
+    /// itself advances only to the next dispatch instant — every later
+    /// image is released at or after it, so nothing before it can
+    /// change. Zero deadline and fixed batching never consult the
+    /// pipeline. Every image that has arrived by the dispatch instant
+    /// rides along — a batch is "whatever is waiting", never a fixed
+    /// shape — and every dispatch admits at least the oldest waiting
+    /// image (so `FixedBatch { size: 0 }` dispatches one at a time).
+    ///
+    /// `arrivals` must be ascending and finite, as
+    /// [`ArrivalProcess::arrivals`] produces them; other input yields
+    /// an unspecified plan, but never a hang or a panic.
     pub fn release_plan(&self, timeline: &[StageTiming], arrivals: &[f64]) -> ReleasePlan {
+        self.release_plan_with(timeline, arrivals, place_nominal)
+    }
+
+    /// [`MicroBatcher::release_plan`] over the placement rule `place`
+    /// (see [`Pipeline::step`]).
+    pub(crate) fn release_plan_with<P>(
+        &self,
+        timeline: &[StageTiming],
+        arrivals: &[f64],
+        mut place: P,
+    ) -> ReleasePlan
+    where
+        P: FnMut(&StageTiming, usize, f64, &[f64]) -> (f64, f64, f64),
+    {
         let n = arrivals.len();
         let mut releases = Vec::with_capacity(n);
         let mut queue = AdmissionQueue::new();
@@ -375,15 +404,19 @@ impl MicroBatcher {
         // head_idle only matters when a positive deadline lets the
         // batcher wait for the pipeline; the other policies dispatch
         // on arrivals alone.
-        let consults_pipeline =
-            matches!(self.dispatch, Dispatch::Deadline { deadline } if deadline > 0.0);
+        let mut pipeline =
+            matches!(self.dispatch, Dispatch::Deadline { deadline } if deadline > 0.0)
+                .then(|| Pipeline::new(timeline));
         while idx < n {
             let oldest = arrivals[idx];
             let t = match self.dispatch {
                 Dispatch::Deadline { deadline } => oldest.max(head_idle.min(oldest + deadline)),
-                Dispatch::FixedBatch { size } => arrivals[(idx + size - 1).min(n - 1)],
+                Dispatch::FixedBatch { size } => {
+                    arrivals[idx.saturating_add(size.max(1) - 1).min(n - 1)]
+                }
             };
-            let mut count = 0usize;
+            queue.push(oldest);
+            let mut count = 1usize;
             while idx + count < n && arrivals[idx + count] <= t {
                 queue.push(arrivals[idx + count]);
                 count += 1;
@@ -393,8 +426,18 @@ impl MicroBatcher {
             releases.extend(std::iter::repeat_n(t, count));
             idx += count;
             batches += 1;
-            if consults_pipeline && idx < n {
-                head_idle = pipelined_schedule_released(timeline, &releases).head_idle;
+            if let Some(pipeline) = pipeline.as_mut() {
+                // Work already dispatched is settled up to `t`; the
+                // new batch cannot start earlier nor win a tie.
+                pipeline.run(t, &mut place);
+                for _ in 0..count {
+                    pipeline.push(t);
+                }
+                if idx < n {
+                    let mut drained = pipeline.clone();
+                    drained.run(f64::INFINITY, &mut place);
+                    head_idle = drained.head_idle();
+                }
             }
         }
         ReleasePlan {
@@ -625,9 +668,9 @@ impl ServeReport {
 /// When `traced`, the report carries a [`Trace`] of the run —
 /// per-image stage spans and hand-offs from the event sim, plus
 /// admission-queue arrivals and micro-batcher dispatch decisions
-/// reconstructed from the release plan. Only the one full replay is
-/// traced; the deadline batcher's per-dispatch head-idle consults stay
-/// untraced (they are planning probes, not execution). Tracing never
+/// reconstructed from the release plan. Only the one full schedule is
+/// traced; the deadline batcher's head-idle consults stay untraced
+/// (they are planning probes, not execution). Tracing never
 /// touches the simulation's arithmetic: the report's numbers are
 /// bit-identical with tracing on or off (pinned in `tests/trace.rs`).
 ///
@@ -962,6 +1005,95 @@ mod tests {
         let plan = MicroBatcher::new(Dispatch::Deadline { deadline: 0.002 })
             .release_plan(&toy(), &[0.0, 0.001]);
         assert!((plan.releases[1] - 0.003).abs() < 1e-12);
+    }
+
+    #[test]
+    fn nan_arrival_dispatches_instead_of_hanging() {
+        let plan = MicroBatcher::new(Dispatch::default()).release_plan(&toy(), &[f64::NAN]);
+        assert_eq!(plan.releases.len(), 1);
+        assert_eq!(plan.batches, 1);
+        let plan =
+            MicroBatcher::new(Dispatch::default()).release_plan(&toy(), &[0.0, f64::NAN, 1.0]);
+        assert_eq!(plan.releases.len(), 3, "one release per arrival");
+    }
+
+    #[test]
+    fn zero_size_fixed_batch_dispatches_one_at_a_time() {
+        let arrivals = [0.0, 0.1, 0.2];
+        let plan =
+            MicroBatcher::new(Dispatch::FixedBatch { size: 0 }).release_plan(&toy(), &arrivals);
+        assert_eq!(plan.releases, arrivals);
+        assert_eq!(plan.batches, 3);
+        let plan = MicroBatcher::new(Dispatch::FixedBatch { size: usize::MAX })
+            .release_plan(&toy(), &arrivals);
+        assert_eq!(
+            plan.releases,
+            vec![0.2; 3],
+            "an oversized batch flushes the tail"
+        );
+    }
+
+    /// Candidate evaluations (calls to the placement rule) one deadline
+    /// release plan makes for an `images`-long stream at `load` × the
+    /// ceiling, and the timeline's stage count.
+    fn release_plan_evaluations(timeline: &[StageTiming], load: f64, images: usize) -> u64 {
+        let arrivals = ArrivalProcess::Poisson {
+            rate: load / bottleneck_seconds(timeline),
+        }
+        .arrivals(images, 42);
+        let mut evaluations = 0u64;
+        MicroBatcher::new(Dispatch::default()).release_plan_with(
+            timeline,
+            &arrivals,
+            |stage: &StageTiming, i: usize, pending: f64, free: &[f64]| {
+                evaluations += 1;
+                place_nominal(stage, i, pending, free)
+            },
+        );
+        evaluations
+    }
+
+    /// The complexity pin: below saturation a deadline release plan
+    /// costs O(N·S²) candidate evaluations — linear in the stream — on
+    /// the `online_serving` rack (ODENet-56 Q5.10 on an Arty Z7-20 next
+    /// to a Z7-10). The replay-per-dispatch plan it replaced grew as N³.
+    #[test]
+    fn deadline_release_plan_work_is_linear_below_saturation() {
+        use crate::board::{ARTY_Z7_10, ARTY_Z7_20};
+        use crate::cluster::{plan_cluster, Cluster, ClusterRequest, Interconnect, Schedule};
+        use crate::partition::Partitioner;
+        use crate::plan::{PlFormat, PlanRequest};
+        use crate::replica::Replication;
+
+        let d = PlanRequest::default();
+        let plan = plan_cluster(
+            &rodenet::NetSpec::new(rodenet::Variant::OdeNet, 56),
+            &ClusterRequest {
+                cluster: Cluster::new(vec![ARTY_Z7_20, ARTY_Z7_10], Interconnect::GIGABIT_ETHERNET),
+                offload: d.offload,
+                bn: d.bn,
+                ps: d.ps,
+                pl: d.pl,
+                precision: PlFormat::Q16 { frac: 10 }.into(),
+                schedule: Schedule::Pipelined,
+                partitioner: Partitioner::BalancedMakespan,
+                replication: Replication::None,
+            },
+        )
+        .expect("the rack carries ODENet-56 at Q5.10");
+        let timeline = plan.timeline();
+        let s = timeline.len() as u64;
+        let small = release_plan_evaluations(timeline, 0.8, 1024);
+        let large = release_plan_evaluations(timeline, 0.8, 4096);
+        let ratio = large as f64 / small as f64;
+        assert!(ratio <= 4.5, "4× the stream costs {ratio:.2}× the work");
+        // c = 2: the persistent state prices at most S heads per
+        // committed stage (N·S²); each dispatch's head-idle copy adds
+        // the few images in flight.
+        assert!(
+            large <= 2 * 4096 * s * s,
+            "{large} evaluations for 4096 images over {s} stages"
+        );
     }
 
     #[test]
