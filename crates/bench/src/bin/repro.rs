@@ -866,8 +866,8 @@ fn engine_cmd(seed: u64) {
     use std::time::Instant;
     use zynq_sim::engine::{BatchSummary, Engine, Offload};
     // Extension: the Engine deployment API. Two things to show:
-    // (1) host-side setup amortization — the legacy free function
-    //     re-plans and re-quantizes per call, the engine once;
+    // (1) host-side setup amortization — an engine built per image
+    //     re-plans and re-quantizes per call, a reused engine once;
     // (2) batch serving — accumulated modelled PS/PL/DMA timing.
     let mut rng = StdRng::seed_from_u64(seed);
     let net = Network::new(NetSpec::new(Variant::ROdeNet3, 20).with_classes(10), seed);
@@ -882,28 +882,22 @@ fn engine_cmd(seed: u64) {
         })
         .collect();
 
-    let engine = Engine::builder(&net)
-        .offload(Offload::Target(OffloadTarget::Layer32))
-        .build()
-        .expect("layer3_2 fits the fabric");
+    let build = || {
+        Engine::builder(&net)
+            .offload(Offload::Target(OffloadTarget::Layer32))
+            .build()
+            .expect("layer3_2 fits the fabric")
+    };
+    let engine = build();
     println!("\n## Engine deployment API\n");
     println!("configuration: {}", engine.describe());
 
-    // (1) one-shot legacy path vs reused engine, host wall-clock.
+    // (1) one-shot Engine build + infer vs reused engine, host wall-clock.
     let reps = 10usize;
     let t0 = Instant::now();
     for _ in 0..reps {
         for x in &images {
-            #[allow(deprecated)]
-            let run = zynq_sim::run_hybrid(
-                &net,
-                x,
-                OffloadTarget::Layer32,
-                &PsModel::Calibrated,
-                &PlModel::default(),
-                &PYNQ_Z2,
-            );
-            std::hint::black_box(run);
+            std::hint::black_box(build().infer(x).expect("CIFAR-shaped input"));
         }
     }
     let one_shot = t0.elapsed().as_secs_f64() / (reps * images.len()) as f64;
@@ -919,7 +913,7 @@ fn engine_cmd(seed: u64) {
         &["Path", "ms/image", "vs one-shot"],
     );
     t.row(vec![
-        "one-shot run_hybrid".into(),
+        "one-shot Engine build + infer".into(),
         format!("{:.2}", one_shot * 1e3),
         "1.00x".into(),
     ]);

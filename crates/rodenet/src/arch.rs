@@ -199,17 +199,31 @@ impl NetSpec {
     /// formulas (all paper depths 20/32/44/56 are valid for every
     /// variant).
     pub fn new(variant: Variant, n: usize) -> Self {
-        assert!(n >= 14, "depth N must be at least 14 (got {n})");
-        let div = |num: usize, den: usize, what: &str| -> usize {
-            assert!(
-                num.is_multiple_of(den),
-                "{what}: ({num}) must be divisible by {den} for N={n} in {variant}"
-            );
-            num / den
+        Self::try_new(variant, n, 100).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The fallible constructor behind [`NetSpec::new`] and
+    /// [`NetSpec::with_classes`]: the one place the depth and class
+    /// rules live, so input read from a file gets an error, not a panic.
+    pub(crate) fn try_new(variant: Variant, n: usize, classes: usize) -> Result<Self, String> {
+        if n < 14 {
+            return Err(format!("depth N must be at least 14 (got {n})"));
+        }
+        if classes < 2 {
+            return Err(format!("at least 2 classes are needed (got {classes})"));
+        }
+        let div = |num: usize, den: usize, what: &str| -> Result<usize, String> {
+            if num.is_multiple_of(den) {
+                Ok(num / den)
+            } else {
+                Err(format!(
+                    "{what}: ({num}) must be divisible by {den} for N={n} in {variant}"
+                ))
+            }
         };
         // ResNet stack sizes.
-        let s1 = div(n - 2, 6, "(N-2)/6");
-        let s2 = div(n - 8, 6, "(N-8)/6");
+        let s1 = div(n - 2, 6, "(N-2)/6")?;
+        let s2 = div(n - 8, 6, "(N-8)/6")?;
         let (layer1, layer2_2, layer3_2) = match variant {
             Variant::ResNet => (
                 LayerPlan::plain(s1),
@@ -218,24 +232,24 @@ impl NetSpec {
             ),
             Variant::OdeNet => (LayerPlan::ode(s1), LayerPlan::ode(s2), LayerPlan::ode(s2)),
             Variant::ROdeNet1 => (
-                LayerPlan::ode(div(n - 6, 2, "(N-6)/2")),
+                LayerPlan::ode(div(n - 6, 2, "(N-6)/2")?),
                 LayerPlan::absent(),
                 LayerPlan::absent(),
             ),
             Variant::ROdeNet2 => (
                 LayerPlan::plain(1),
-                LayerPlan::ode(div(n - 8, 2, "(N-8)/2")),
+                LayerPlan::ode(div(n - 8, 2, "(N-8)/2")?),
                 LayerPlan::absent(),
             ),
             Variant::ROdeNet12 => (
-                LayerPlan::ode(div(n - 4, 4, "(N-4)/4")),
-                LayerPlan::ode(div(n - 8, 4, "(N-8)/4")),
+                LayerPlan::ode(div(n - 4, 4, "(N-4)/4")?),
+                LayerPlan::ode(div(n - 8, 4, "(N-8)/4")?),
                 LayerPlan::absent(),
             ),
             Variant::ROdeNet3 => (
                 LayerPlan::plain(1),
                 LayerPlan::absent(),
-                LayerPlan::ode(div(n - 8, 2, "(N-8)/2")),
+                LayerPlan::ode(div(n - 8, 2, "(N-8)/2")?),
             ),
             Variant::Hybrid3 => (
                 LayerPlan::plain(s1),
@@ -243,7 +257,7 @@ impl NetSpec {
                 LayerPlan::ode(s2),
             ),
         };
-        NetSpec {
+        Ok(NetSpec {
             variant,
             n,
             layer1,
@@ -251,15 +265,21 @@ impl NetSpec {
             layer2_2,
             layer3_1: LayerPlan::plain(1),
             layer3_2,
-            classes: 100,
-        }
+            classes,
+        })
     }
 
     /// Same spec with a different class count (e.g. the synthetic dataset).
-    pub fn with_classes(mut self, classes: usize) -> Self {
-        assert!(classes >= 2);
-        self.classes = classes;
-        self
+    ///
+    /// # Panics
+    /// If `classes < 2`.
+    pub fn with_classes(self, classes: usize) -> Self {
+        let checked =
+            Self::try_new(self.variant, self.n, classes).unwrap_or_else(|e| panic!("{e}"));
+        NetSpec {
+            classes: checked.classes,
+            ..self
+        }
     }
 
     /// The plan for a residual layer.

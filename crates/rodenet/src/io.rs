@@ -123,7 +123,8 @@ pub fn load(r: &mut impl Read) -> io::Result<Network> {
         .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "bad variant index"))?;
     let n = read_u32(r)? as usize;
     let classes = read_u32(r)? as usize;
-    let spec = NetSpec::new(variant, n).with_classes(classes);
+    let spec = NetSpec::try_new(variant, n, classes)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
     let mut net = Network::new(spec, 0);
     // Parameters.
     let mut err: Option<io::Error> = None;
@@ -228,6 +229,24 @@ mod tests {
         buf.truncate(buf.len() / 2);
         if load(&mut buf.as_slice()).is_ok() {
             panic!("truncated checkpoint must be rejected");
+        }
+    }
+
+    #[test]
+    fn invalid_header_is_an_error_not_a_panic() {
+        let mut net = probe_net();
+        let mut buf = Vec::new();
+        save(&mut net, &mut buf).unwrap();
+        // Header: magic, version, variant, then `n` at 12 and `classes`
+        // at 16. Depth 15 fails the divisibility rule, 13 the minimum,
+        // and one class the classifier rule.
+        for (offset, value) in [(12, 15u32), (12, 13), (16, 1)] {
+            let mut bad = buf.clone();
+            bad[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
+            match load(&mut bad.as_slice()) {
+                Ok(_) => panic!("header field {offset} = {value} must be rejected"),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+            }
         }
     }
 

@@ -65,7 +65,7 @@ use std::collections::VecDeque;
 use crate::board::Board;
 use crate::engine::{EngineError, Offload};
 use crate::partition::{partition_with, select_with, shard_infeasible, Partitioner};
-use crate::plan::{PlFormat, PlannedStage};
+use crate::plan::PlannedStage;
 use crate::planner::OffloadTarget;
 use crate::precision::StageFormats;
 use crate::replica::{ReplicaPlan, Replication};
@@ -273,30 +273,15 @@ pub struct BoardShard {
 /// Split `target`'s layers across the cluster's boards, first-fit in
 /// network order (so feature maps flow forward through the board
 /// list). Every shard is checked with the width-aware
-/// [`OffloadTarget::fits_at`]; a layer that fits no remaining board
-/// makes the whole placement infeasible — the returned
-/// [`EngineError::ShardInfeasible`] names that layer and the board
-/// capacities consulted. This is [`Partitioner::FirstFit`]; see
-/// [`crate::partition`] for the cost-driven alternative.
-pub fn shard_placement(
-    target: OffloadTarget,
-    cluster: &Cluster,
-    parallelism: usize,
-    bytes_per_value: usize,
-) -> Result<ShardAssignment, EngineError> {
-    shard_placement_with(
-        target,
-        cluster,
-        parallelism,
-        &crate::planner::uniform_for_bytes(bytes_per_value),
-    )
-}
-
-/// [`shard_placement`] with **per-stage** word widths: every
-/// first-fit feasibility probe prices each layer at its own resolved
+/// [`OffloadTarget::fits_with`], each layer priced at its own resolved
 /// format, so a mixed placement (layer1 at Q16 next to layer3_2 at
-/// Q20) shards exactly as it will deploy. A degenerate format is a
-/// typed [`EngineError::UnsupportedFormat`], never a panic.
+/// Q20) shards exactly as it will deploy. A layer that fits no
+/// remaining board makes the whole placement infeasible — the returned
+/// [`EngineError::ShardInfeasible`] names that layer and the board
+/// capacities consulted; a degenerate format is a typed
+/// [`EngineError::UnsupportedFormat`], never a panic. This is
+/// [`Partitioner::FirstFit`]; see [`crate::partition`] for the
+/// cost-driven alternative.
 pub fn shard_placement_with(
     target: OffloadTarget,
     cluster: &Cluster,
@@ -1081,17 +1066,6 @@ impl ClusterPlan {
             .map(|s| s.board)
     }
 
-    /// The *base* PL word format of the plan's precision table — it
-    /// silently under-reports a mixed table, which is why it is
-    /// deprecated in favor of [`ClusterPlan::precision`].
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `ClusterPlan::precision()` — the precision surface is per-stage now"
-    )]
-    pub fn pl_format(&self) -> PlFormat {
-        self.formats.base()
-    }
-
     /// The resolved per-stage PL word-format table the plan was
     /// computed for.
     pub fn precision(&self) -> &StageFormats {
@@ -1287,6 +1261,7 @@ impl ClusterPlan {
 mod tests {
     use super::*;
     use crate::board::{ARTY_Z7_20, PYNQ_Z2};
+    use crate::plan::PlFormat;
     use rodenet::Variant;
 
     fn request(boards: usize) -> ClusterRequest {
@@ -1317,11 +1292,14 @@ mod tests {
 
     #[test]
     fn first_fit_sharding_follows_network_order() {
+        let q20: StageFormats = PlFormat::Q20.into();
+        let q16: StageFormats = PlFormat::Q16 { frac: 8 }.into();
         let cluster = Cluster::homogeneous(&ARTY_Z7_20, 2, Interconnect::GIGABIT_ETHERNET);
         // At Q20, layer1+layer2_2 (120 BRAM) fill board 0; layer3_2
         // (140 BRAM = the whole fabric) moves to board 1 — the ISSUE's
         // canonical example.
-        let shards = shard_placement(OffloadTarget::AllOde, &cluster, 16, 4).expect("shards");
+        let shards =
+            shard_placement_with(OffloadTarget::AllOde, &cluster, 16, &q20).expect("shards");
         assert_eq!(
             shards,
             vec![(0, OffloadTarget::Layer1And22), (1, OffloadTarget::Layer32)]
@@ -1329,11 +1307,11 @@ mod tests {
         // One board cannot carry all three at 32-bit…
         let one = Cluster::homogeneous(&ARTY_Z7_20, 1, Interconnect::GIGABIT_ETHERNET);
         assert!(matches!(
-            shard_placement(OffloadTarget::AllOde, &one, 16, 4),
+            shard_placement_with(OffloadTarget::AllOde, &one, 16, &q20),
             Err(EngineError::ShardInfeasible { boards: 1, .. })
         ));
         // …but can at 16-bit (footnote 2), with no second board needed.
-        let shards16 = shard_placement(OffloadTarget::AllOde, &one, 16, 2).expect("16-bit");
+        let shards16 = shard_placement_with(OffloadTarget::AllOde, &one, 16, &q16).expect("16-bit");
         assert_eq!(shards16, vec![(0, OffloadTarget::AllOde)]);
     }
 

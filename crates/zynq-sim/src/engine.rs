@@ -1,9 +1,9 @@
 //! The deployment engine — configure once, infer many times.
 //!
-//! The free functions of [`crate::system`] re-plan the offload and
-//! re-quantize the PL weights on **every call**; serving workloads need
-//! the opposite shape: validate a configuration once, then make
-//! inference a cheap, repeatable, batchable operation. [`Engine`] is
+//! Planning the offload and quantizing the PL weights on **every call**
+//! is the wrong shape for serving workloads; they need the opposite:
+//! validate a configuration once, then make inference a cheap,
+//! repeatable, batchable operation. [`Engine`] is
 //! that shape:
 //!
 //! ```text
@@ -48,8 +48,8 @@
 //!   Cortex-A9 (the "w/o PL" rows of Table 5);
 //! * [`BackendKind::Hybrid`] — offloaded stages on the bit-exact
 //!   fixed-point ODEBlock circuit, the rest in `f32` software (the
-//!   paper's deployment; bit-identical to the legacy
-//!   [`crate::run_hybrid_with`] at the default Q20);
+//!   paper's deployment; bit-identical to the pre-engine free-function
+//!   walk at the default Q20, pinned by `tests/engine_equivalence.rs`);
 //! * [`BackendKind::PlBitExact`] — the *whole* network in the PL number
 //!   system via [`rodenet::QuantNetwork`], offloaded stages on the
 //!   modelled circuit: what a fully-fixed-point deployment would
@@ -96,11 +96,11 @@ use tensor::{par, Scalar, Shape4, Tensor};
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum Offload {
     /// Latency-optimal placement under the paper's ODE-blocks-only
-    /// policy ([`crate::planner::plan_offload_at`]).
+    /// policy ([`crate::planner::plan_offload_with`]).
     #[default]
     Auto,
     /// Latency-optimal placement, also considering once-executed plain
-    /// blocks ([`crate::planner::plan_offload_extended_at`]).
+    /// blocks ([`crate::planner::plan_offload_extended_with`]).
     AutoExtended,
     /// A fixed placement, validated at build time.
     Target(OffloadTarget),
@@ -152,7 +152,7 @@ pub enum EngineError {
     /// The placement's layers cannot be distributed over the cluster's
     /// boards at the configured width and parallelism under the
     /// requested [`crate::partition::Partitioner`] (see
-    /// [`crate::cluster::shard_placement`] and
+    /// [`crate::cluster::shard_placement_with`] and
     /// [`crate::partition::partition_placement`]).
     ShardInfeasible {
         /// The rejected overall placement.
@@ -691,9 +691,9 @@ fn build_pl_stages(
 /// backends: stages in `pl_stages` run on their pre-built circuits —
 /// each in its *own* word format, quantized at its DMA boundary —
 /// everything else runs as `f32` software with `bn` statistics. With a
-/// uniform Q20 table this mirrors the execution order of the original
-/// `run_hybrid_with` loop exactly, so logits and timing are
-/// bit-identical to the legacy path.
+/// uniform Q20 table this mirrors the execution order of the
+/// pre-engine free-function loop exactly, so logits and timing are
+/// bit-identical to that reference (`tests/engine_equivalence.rs`).
 fn hybrid_walk(
     net: &Network,
     x: &Tensor<f32>,
@@ -955,18 +955,6 @@ impl<'n> EngineBuilder<'n> {
     pub fn bn_mode(mut self, bn: BnMode) -> Self {
         self.bn = bn;
         self
-    }
-
-    /// One PL datapath word format for every stage — the pre-policy
-    /// spelling of [`EngineBuilder::precision`] with
-    /// [`Precision::Uniform`], kept as a delegating shim.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `.precision(Precision::Uniform(format))` — the precision \
-                surface is per-stage now"
-    )]
-    pub fn pl_format(self, format: PlFormat) -> Self {
-        self.precision(Precision::Uniform(format))
     }
 
     /// Per-stage PL word-format policy (default:
@@ -1487,17 +1475,6 @@ impl<'n> Engine<'n> {
     /// backends.
     pub fn latency_report(&self) -> Option<&Table5Row> {
         self.plan.as_ref().map(|p| p.table5())
-    }
-
-    /// The base PL word format. For a per-stage policy this is only
-    /// the table's base; prefer [`Engine::precision`], which reports
-    /// every stage's resolved format.
-    #[deprecated(
-        since = "0.2.0",
-        note = "use `Engine::precision()` — the precision surface is per-stage now"
-    )]
-    pub fn pl_format(&self) -> PlFormat {
-        self.formats.base()
     }
 
     /// The resolved per-stage PL word-format table the engine executes
@@ -2191,5 +2168,61 @@ mod tests {
         let engine = Engine::builder(&net).build().unwrap();
         let d = engine.describe();
         assert!(d.contains("hybrid") && d.contains("PYNQ-Z2"), "{d}");
+    }
+
+    /// One image through a freshly built engine pinned to `target` on
+    /// the paper's board and models.
+    fn one_shot(net: &Network, x: &Tensor<f32>, target: OffloadTarget) -> RunReport {
+        Engine::builder(net)
+            .board(&PYNQ_Z2)
+            .offload(Offload::Target(target))
+            .ps_model(PsModel::Calibrated)
+            .pl_model(PlModel::default())
+            .bn_mode(BnMode::OnTheFly)
+            .backend(if target == OffloadTarget::None {
+                BackendKind::PsSoftware
+            } else {
+                BackendKind::Hybrid
+            })
+            .build()
+            .expect("placement builds")
+            .infer(x)
+            .expect("CIFAR-shaped input")
+    }
+
+    #[test]
+    fn hybrid_matches_software_closely() {
+        let net = Network::new(NetSpec::new(Variant::ROdeNet3, 20).with_classes(10), 21);
+        let x = image(5);
+        let sw = net.forward(&x, BnMode::OnTheFly);
+        let run = one_shot(&net, &x, OffloadTarget::Layer32);
+        // Q20 vs f32 divergence stays small at logit level.
+        let diff = sw.max_abs_diff(&run.logits);
+        assert!(diff < 0.05, "logit divergence {diff}");
+        assert_eq!(run.offloaded, vec![LayerName::Layer3_2]);
+    }
+
+    #[test]
+    fn hybrid_timing_matches_table5_model() {
+        let net = Network::new(NetSpec::new(Variant::ROdeNet3, 56).with_classes(10), 22);
+        let run = one_shot(&net, &image(6), OffloadTarget::Layer32);
+        let row = crate::timing::paper_row(Variant::ROdeNet3, 56);
+        assert!(
+            (run.total_seconds() - row.total_w_pl).abs() < 1e-9,
+            "execution-derived timing {} equals the Table 5 model {}",
+            run.total_seconds(),
+            row.total_w_pl
+        );
+        assert_eq!(run.dma_words, 2 * 64 * 64);
+    }
+
+    #[test]
+    fn no_offload_is_pure_software_time() {
+        let net = Network::new(NetSpec::new(Variant::ResNet, 20).with_classes(10), 23);
+        let run = one_shot(&net, &image(7), OffloadTarget::None);
+        assert_eq!(run.pl_seconds, 0.0);
+        assert_eq!(run.dma_words, 0);
+        let expect = PsModel::Calibrated.spec_seconds(&net.spec, &PYNQ_Z2);
+        assert!((run.ps_seconds - expect).abs() < 1e-9);
     }
 }

@@ -18,7 +18,7 @@
 //!   the greedy network-order behavior (the compatibility default);
 //!   `BalancedMakespan` enumerates **every** assignment of offloaded
 //!   layers to boards over the same width-aware
-//!   [`OffloadTarget::fits_at`] feasibility and
+//!   [`OffloadTarget::fits_with`] feasibility and
 //!   [`crate::cluster::StageTiming`] pipeline model, and keeps the one
 //!   minimizing the configured schedule's makespan of a
 //!   [`REFERENCE_BATCH`]-image batch (per-image latency breaks ties) —
@@ -32,7 +32,7 @@
 //!   Auto-selection loop: iterate all applicable placements, partition
 //!   each under the configured strategy, keep the best under the same
 //!   objective the partitioner used.
-//!   [`crate::planner::plan_offload_at`] calls it with a 1-board
+//!   [`crate::planner::plan_offload_with`] calls it with a 1-board
 //!   cluster; [`crate::cluster::plan_cluster`] with the real one — a
 //!   single board is literally the degenerate case of the same search.
 //!
@@ -81,7 +81,7 @@ pub enum Partitioner {
     FirstFit,
     /// Exhaustive search over all layer→board assignments (boards ^
     /// layers candidates, at most 3 offloadable layers), each checked
-    /// with the width-aware [`OffloadTarget::fits_at`], scored by the
+    /// with the width-aware [`OffloadTarget::fits_with`], scored by the
     /// makespan of a [`REFERENCE_BATCH`]-image batch under the
     /// request's configured [`Schedule`] — the event-driven pipeline
     /// simulation for [`Schedule::Pipelined`], `B ×` per-image latency
@@ -645,7 +645,7 @@ mod tests {
             );
             for t in OffloadTarget::ALL {
                 let via_strategy = partition_placement(&spec, t, &req);
-                let direct = crate::cluster::shard_placement(t, &req.cluster, 16, 4);
+                let direct = shard_placement_with(t, &req.cluster, 16, &PlFormat::Q20.into());
                 assert_eq!(via_strategy.is_ok(), direct.is_ok(), "{t:?} over {boards}");
                 if let (Ok(a), Ok(b)) = (via_strategy, direct) {
                     assert_eq!(a, b, "{t:?} over {boards}");

@@ -8,7 +8,7 @@
 //! can pick the latency-optimal one for a given architecture.
 //!
 //! Since the partitioner refactor, the Auto selection here is the
-//! 1-board degenerate case of the cluster search: [`plan_offload_at`]
+//! 1-board degenerate case of the cluster search: [`plan_offload_with`]
 //! and [`crate::cluster::plan_cluster`]'s `Auto` loop share one cost
 //! path in [`crate::partition`].
 
@@ -25,7 +25,7 @@ use rodenet::{LayerName, NetSpec, Variant};
 /// but feasible at reduced word widths, which is exactly the paper's
 /// footnote-2 motivation ("using reduced bit widths … can implement
 /// more layers in PL part"). They participate in planning whenever the
-/// width-aware feasibility check ([`OffloadTarget::fits_at`]) admits
+/// width-aware feasibility check ([`OffloadTarget::fits_with`]) admits
 /// them.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OffloadTarget {
@@ -96,31 +96,21 @@ impl OffloadTarget {
     /// low-level per-circuit model ([`crate::resources::ode_block_resources`]) keeps
     /// `parallelism ≤ channels` as an asserted precondition.
     pub fn fits(&self, board: &Board, parallelism: usize) -> bool {
-        self.fits_at(board, parallelism, 4)
+        self.fits_with(board, parallelism, &StageFormats::default())
     }
 
-    /// Width-aware feasibility: like [`OffloadTarget::fits`] but with
-    /// the PL word width as a parameter (`bytes_per_value`; 4 is the
-    /// paper's 32-bit build, 2 the footnote-2 16-bit datapath). BRAM
-    /// scales via [`crate::resources::bram36_at_width`], DSP via
+    /// Width-aware feasibility: like [`OffloadTarget::fits`] but every
+    /// layer is priced at its **own** word format from the resolved
+    /// precision table (Q20 is the paper's 32-bit build, Q16 the
+    /// footnote-2 16-bit datapath). BRAM scales via
+    /// [`crate::resources::bram36_at_width`], DSP via
     /// [`crate::resources::dsp_slices_at_width`], and LUT/FF via
     /// [`crate::resources::modelled_lut_ff_at`] (control base fixed,
-    /// datapath share scaled by the operand width) — so a reduced-width
-    /// shard is not gated by the conservative 32-bit characterization.
-    pub fn fits_at(&self, board: &Board, parallelism: usize, bytes_per_value: usize) -> bool {
-        let pairs: Vec<(LayerName, usize)> = self
-            .layers()
-            .iter()
-            .map(|&l| (l, bytes_per_value))
-            .collect();
-        self.fits_pairs(board, parallelism, &pairs)
-    }
-
-    /// Per-stage-width feasibility: like [`OffloadTarget::fits_at`]
-    /// but every layer is priced at its **own** word format from the
-    /// resolved precision table — so a mixed deployment (layer1 at
-    /// Q16 next to layer3_2 at Q20) is admitted exactly when the sum
-    /// of its differently-sized circuits fits the fabric.
+    /// datapath share scaled by the operand width) — so a mixed
+    /// deployment (layer1 at Q16 next to layer3_2 at Q20) is admitted
+    /// exactly when the sum of its differently-sized circuits fits the
+    /// fabric, and a reduced-width shard is not gated by the
+    /// conservative 32-bit characterization.
     ///
     /// # Panics
     ///
@@ -128,18 +118,16 @@ impl OffloadTarget {
     /// untrusted tables should [`StageFormats::validate`] first, as
     /// every planning entry point does.
     pub fn fits_with(&self, board: &Board, parallelism: usize, formats: &StageFormats) -> bool {
-        self.fits_pairs(board, parallelism, &formats.bytes_for(self.layers()))
-    }
-
-    fn fits_pairs(&self, board: &Board, parallelism: usize, pairs: &[(LayerName, usize)]) -> bool {
         for &layer in self.layers() {
             let (channels, _) = layer.geometry();
             if parallelism > channels {
                 return false;
             }
         }
-        let (bram36, dsp, lut, ff) =
-            crate::resources::placement_resources_mixed(pairs, parallelism);
+        let (bram36, dsp, lut, ff) = crate::resources::placement_resources_mixed(
+            &formats.bytes_for(self.layers()),
+            parallelism,
+        );
         bram36 <= board.bram36 as f64 && dsp <= board.dsp && lut <= board.lut && ff <= board.ff
     }
 
@@ -200,19 +188,9 @@ impl OffloadTarget {
 
 /// All placements that fit the board at `parallelism` (32-bit build).
 pub fn feasible_targets(board: &Board, parallelism: usize) -> Vec<OffloadTarget> {
-    feasible_targets_at(board, parallelism, 4)
-}
-
-/// All placements that fit the board at `parallelism` and the given PL
-/// word width.
-pub fn feasible_targets_at(
-    board: &Board,
-    parallelism: usize,
-    bytes_per_value: usize,
-) -> Vec<OffloadTarget> {
     OffloadTarget::ALL
         .into_iter()
-        .filter(|t| t.fits_at(board, parallelism, bytes_per_value))
+        .filter(|t| t.fits(board, parallelism))
         .collect()
 }
 
@@ -225,15 +203,7 @@ pub fn plan_offload(
     ps: &PsModel,
     pl: &PlModel,
 ) -> OffloadTarget {
-    plan_with(
-        spec,
-        board,
-        parallelism,
-        ps,
-        pl,
-        false,
-        &uniform_for_bytes(4),
-    )
+    plan_offload_with(spec, board, parallelism, ps, pl, &StageFormats::default())
 }
 
 /// Like [`plan_offload`] but also considers once-executed plain blocks
@@ -246,57 +216,7 @@ pub fn plan_offload_extended(
     ps: &PsModel,
     pl: &PlModel,
 ) -> OffloadTarget {
-    plan_with(
-        spec,
-        board,
-        parallelism,
-        ps,
-        pl,
-        true,
-        &uniform_for_bytes(4),
-    )
-}
-
-/// Width-aware [`plan_offload`]: feasibility and DMA timing both see
-/// the PL word width, so a 16-bit plan can legally pick the
-/// layer3_2-sharing placements that a 32-bit plan must reject.
-pub fn plan_offload_at(
-    spec: &NetSpec,
-    board: &Board,
-    parallelism: usize,
-    ps: &PsModel,
-    pl: &PlModel,
-    bytes_per_value: usize,
-) -> OffloadTarget {
-    plan_with(
-        spec,
-        board,
-        parallelism,
-        ps,
-        pl,
-        false,
-        &uniform_for_bytes(bytes_per_value),
-    )
-}
-
-/// Width-aware [`plan_offload_extended`].
-pub fn plan_offload_extended_at(
-    spec: &NetSpec,
-    board: &Board,
-    parallelism: usize,
-    ps: &PsModel,
-    pl: &PlModel,
-    bytes_per_value: usize,
-) -> OffloadTarget {
-    plan_with(
-        spec,
-        board,
-        parallelism,
-        ps,
-        pl,
-        true,
-        &uniform_for_bytes(bytes_per_value),
-    )
+    plan_offload_extended_with(spec, board, parallelism, ps, pl, &StageFormats::default())
 }
 
 /// Per-stage-width [`plan_offload`]: feasibility and the DMA share of
@@ -331,19 +251,6 @@ pub fn plan_offload_extended_with(
     plan_with(spec, board, parallelism, ps, pl, true, formats)
 }
 
-/// A synthetic uniform format table carrying the right storage width
-/// for the byte-level compatibility entry points (only `bytes` reaches
-/// the resource/DMA models, so the binary point is arbitrary).
-pub(crate) fn uniform_for_bytes(bytes_per_value: usize) -> StageFormats {
-    use crate::plan::PlFormat;
-    let format = match bytes_per_value {
-        4 => PlFormat::Q20,
-        2 => PlFormat::Q16 { frac: 8 },
-        b => PlFormat::Custom(qfixed::QFormat::new(8 * b as u32, 4 * b as u32)),
-    };
-    StageFormats::uniform(format)
-}
-
 /// The shared Auto-selection engine: a single board is planned as the
 /// 1-board degenerate case of the cluster cost model, so this and
 /// [`crate::cluster::plan_cluster`]'s `Auto` loop literally run the
@@ -375,6 +282,7 @@ fn plan_with(
 mod tests {
     use super::*;
     use crate::board::PYNQ_Z2;
+    use crate::plan::PlFormat;
 
     #[test]
     fn section32_four_cases_feasible() {
@@ -512,17 +420,23 @@ mod tests {
         // The three layer3_2-sharing placements are exactly the ones a
         // 32-bit build must reject (Table 3: layer3_2 = 100 % BRAM) and
         // a 16-bit build admits (footnote 2).
+        let q16: StageFormats = PlFormat::Q16 { frac: 8 }.into();
+        let q20: StageFormats = PlFormat::Q20.into();
         for t in [
             OffloadTarget::Layer1And32,
             OffloadTarget::Layer22And32,
             OffloadTarget::AllOde,
         ] {
             assert!(!t.fits(&PYNQ_Z2, 16), "{t:?} cannot fit at 32-bit");
-            assert!(t.fits_at(&PYNQ_Z2, 16, 2), "{t:?} fits at 16-bit");
+            assert!(t.fits_with(&PYNQ_Z2, 16, &q16), "{t:?} fits at 16-bit");
         }
         // And the 32-bit check is unchanged by the width-aware rewrite.
         for t in OffloadTarget::ALL {
-            assert_eq!(t.fits(&PYNQ_Z2, 16), t.fits_at(&PYNQ_Z2, 16, 4), "{t:?}");
+            assert_eq!(
+                t.fits(&PYNQ_Z2, 16),
+                t.fits_with(&PYNQ_Z2, 16, &q20),
+                "{t:?}"
+            );
         }
     }
 
@@ -534,8 +448,15 @@ mod tests {
         let ps = PsModel::Calibrated;
         let pl = PlModel::default();
         let spec = NetSpec::new(Variant::OdeNet, 56);
-        let choice32 = plan_offload_at(&spec, &PYNQ_Z2, 16, &ps, &pl, 4);
-        let choice16 = plan_offload_at(&spec, &PYNQ_Z2, 16, &ps, &pl, 2);
+        let choice32 = plan_offload_with(&spec, &PYNQ_Z2, 16, &ps, &pl, &PlFormat::Q20.into());
+        let choice16 = plan_offload_with(
+            &spec,
+            &PYNQ_Z2,
+            16,
+            &ps,
+            &pl,
+            &PlFormat::Q16 { frac: 8 }.into(),
+        );
         assert_eq!(choice32, OffloadTarget::Layer1And22);
         assert_eq!(choice16, OffloadTarget::AllOde);
     }
@@ -564,7 +485,8 @@ mod tests {
         for v in Variant::ALL {
             for n in rodenet::PAPER_DEPTHS {
                 let spec = NetSpec::new(v, n);
-                for bytes in [2usize, 4] {
+                for format in [PlFormat::Q16 { frac: 8 }, PlFormat::Q20] {
+                    let formats = StageFormats::from(format);
                     for extended in [false, true] {
                         let mut best = OffloadTarget::None;
                         let mut best_time = f64::INFINITY;
@@ -574,11 +496,11 @@ mod tests {
                             } else {
                                 target.applicable(&spec)
                             };
-                            if !ok || !target.fits_at(&PYNQ_Z2, 16, bytes) {
+                            if !ok || !target.fits_with(&PYNQ_Z2, 16, &formats) {
                                 continue;
                             }
-                            let row = crate::timing::table5_row_at(
-                                v, n, &target, &ps, &pl, &PYNQ_Z2, bytes,
+                            let row = crate::timing::table5_row_with(
+                                v, n, &target, &ps, &pl, &PYNQ_Z2, &formats,
                             );
                             if row.total_w_pl < best_time {
                                 best_time = row.total_w_pl;
@@ -586,11 +508,11 @@ mod tests {
                             }
                         }
                         let unified = if extended {
-                            plan_offload_extended_at(&spec, &PYNQ_Z2, 16, &ps, &pl, bytes)
+                            plan_offload_extended_with(&spec, &PYNQ_Z2, 16, &ps, &pl, &formats)
                         } else {
-                            plan_offload_at(&spec, &PYNQ_Z2, 16, &ps, &pl, bytes)
+                            plan_offload_with(&spec, &PYNQ_Z2, 16, &ps, &pl, &formats)
                         };
-                        assert_eq!(unified, best, "{v}-{n} at {bytes} bytes (ext {extended})");
+                        assert_eq!(unified, best, "{v}-{n} at {format:?} (ext {extended})");
                     }
                 }
             }

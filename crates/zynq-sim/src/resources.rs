@@ -288,20 +288,6 @@ pub fn bram36_at_width(layer: LayerName, parallelism: usize, bytes_per_value: us
         / 2.0
 }
 
-/// Aggregate `(BRAM36, DSP, LUT, FF)` demand of a multi-circuit
-/// placement at an arbitrary parameter width — the totals a board must
-/// offer to carry every circuit in `layers` simultaneously. The single
-/// summation behind [`crate::planner::OffloadTarget::fits_at`] and the
-/// partitioner's shard-infeasibility diagnostics.
-pub fn placement_resources_at(
-    layers: &[LayerName],
-    parallelism: usize,
-    bytes_per_value: usize,
-) -> (f64, u32, u32, u32) {
-    let pairs: Vec<(LayerName, usize)> = layers.iter().map(|&l| (l, bytes_per_value)).collect();
-    placement_resources_mixed(&pairs, parallelism)
-}
-
 /// Bytes of parameters one offloaded stage's circuit holds at the
 /// given word width — the block's convolution weights and batch-norm
 /// terms as priced by [`rodenet::params::block_bytes`], with the
@@ -315,11 +301,12 @@ pub fn stage_param_bytes(spec: &rodenet::NetSpec, layer: LayerName, bytes_per_va
         as u64
 }
 
-/// [`placement_resources_at`] with a **per-circuit** parameter width:
-/// each `(layer, bytes_per_value)` pair is priced at its own word
-/// format — the mixed-precision generalization the per-stage policies
-/// feasibility-check against. The uniform entry point above is the
-/// all-stages-same-bytes special case.
+/// Aggregate `(BRAM36, DSP, LUT, FF)` demand of a multi-circuit
+/// placement — the totals a board must offer to carry every circuit in
+/// `stages` simultaneously, each `(layer, bytes_per_value)` pair priced
+/// at its own word format ([`crate::precision::StageFormats::bytes_for`]
+/// builds the pairs). The single summation behind
+/// [`crate::planner::OffloadTarget::fits_with`].
 pub fn placement_resources_mixed(
     stages: &[(LayerName, usize)],
     parallelism: usize,
@@ -555,16 +542,17 @@ mod tests {
         // conv_x16/Q20 (17 838 LUTs characterized) yet admits it at Q16
         // (the datapath share halves to ≈9 970) — reduced-width shards
         // must not be gated by the conservative 32-bit table.
+        use crate::plan::PlFormat;
         use crate::planner::OffloadTarget;
         let mut lut_starved = PYNQ_Z2;
         lut_starved.lut = 12_000;
         let t = OffloadTarget::Layer1And22;
         assert!(
-            !t.fits_at(&lut_starved, 16, 4),
+            !t.fits_with(&lut_starved, 16, &PlFormat::Q20.into()),
             "17 838 LUTs at 32-bit exceed the 12 000 budget"
         );
         assert!(
-            t.fits_at(&lut_starved, 16, 2),
+            t.fits_with(&lut_starved, 16, &PlFormat::Q16 { frac: 8 }.into()),
             "the halved datapath fits the same budget at 16-bit"
         );
         // And it is genuinely the LUT axis that flips: BRAM/DSP fit at
@@ -577,14 +565,16 @@ mod tests {
     #[test]
     fn placement_totals_sum_the_circuits() {
         use rodenet::LayerName::{Layer1, Layer2_2};
-        let (b1, d1, l1, f1) = placement_resources_at(&[Layer1], 16, 4);
-        let (b2, d2, l2, f2) = placement_resources_at(&[Layer2_2], 16, 4);
-        let (b, d, l, f) = placement_resources_at(&[Layer1, Layer2_2], 16, 4);
+        let q20 = crate::precision::StageFormats::from(crate::plan::PlFormat::Q20);
+        let demand = |layers: &[LayerName]| placement_resources_mixed(&q20.bytes_for(layers), 16);
+        let (b1, d1, l1, f1) = demand(&[Layer1]);
+        let (b2, d2, l2, f2) = demand(&[Layer2_2]);
+        let (b, d, l, f) = demand(&[Layer1, Layer2_2]);
         assert_eq!(b, b1 + b2);
         assert_eq!((d, l, f), (d1 + d2, l1 + l2, f1 + f2));
         assert_eq!(b1, bram36_at_width(Layer1, 16, 4));
         assert_eq!(
-            placement_resources_at(&[], 16, 4),
+            demand(&[]),
             (0.0, 0, 0, 0),
             "a software placement demands nothing"
         );

@@ -220,25 +220,14 @@ impl PlModel {
 
     /// Per-image PL busy seconds of one board carrying every layer of
     /// `target` for `spec` (each ODE stage repeats its solver steps,
-    /// plain stages run once; DMA included). This is the per-board
-    /// term the partitioner's balanced search drives down — and a
-    /// cheap lower bound on any schedule's makespan share for that
-    /// board ([`crate::partition::Partitioner::BalancedMakespan`]
-    /// prunes candidates with it before simulating).
-    pub fn placement_seconds_at(
-        &self,
-        spec: &NetSpec,
-        target: &OffloadTarget,
-        board: &Board,
-        bytes_per_value: usize,
-    ) -> f64 {
-        self.placement_seconds_by(spec, target, board, |_| bytes_per_value)
-    }
-
-    /// [`PlModel::placement_seconds_at`] with **per-stage** word
-    /// widths: each stage's DMA share is priced at its own resolved
-    /// format, so the partitioner's cost model sees mixed-precision
-    /// deployments exactly as they will run.
+    /// plain stages run once; DMA included), with each stage's DMA
+    /// share priced at its own resolved format — so the partitioner's
+    /// cost model sees mixed-precision deployments exactly as they will
+    /// run. This is the per-board term the partitioner's balanced
+    /// search drives down — and a cheap lower bound on any schedule's
+    /// makespan share for that board
+    /// ([`crate::partition::Partitioner::BalancedMakespan`] prunes
+    /// candidates with it before simulating).
     pub fn placement_seconds_with(
         &self,
         spec: &NetSpec,
@@ -246,23 +235,13 @@ impl PlModel {
         board: &Board,
         formats: &StageFormats,
     ) -> f64 {
-        self.placement_seconds_by(spec, target, board, |layer| formats.bytes_of(layer))
-    }
-
-    fn placement_seconds_by(
-        &self,
-        spec: &NetSpec,
-        target: &OffloadTarget,
-        board: &Board,
-        bytes_of: impl Fn(LayerName) -> usize,
-    ) -> f64 {
         target
             .layers()
             .iter()
             .map(|&layer| {
                 let plan = spec.plan(layer);
                 let execs = if plan.is_ode { plan.execs } else { 1 };
-                self.stage_seconds_at(layer, execs, board, bytes_of(layer))
+                self.stage_seconds_at(layer, execs, board, formats.bytes_of(layer))
             })
             .sum()
     }
@@ -300,22 +279,7 @@ pub fn table5_row(
     pl: &PlModel,
     board: &Board,
 ) -> Table5Row {
-    table5_row_at(variant, n, offload, ps, pl, board, 4)
-}
-
-/// [`table5_row`] at an arbitrary PL word width: the PS side is
-/// unchanged, the PL stage times see the narrower DMA transfers.
-#[allow(clippy::too_many_arguments)]
-pub fn table5_row_at(
-    variant: Variant,
-    n: usize,
-    offload: &OffloadTarget,
-    ps: &PsModel,
-    pl: &PlModel,
-    board: &Board,
-    bytes_per_value: usize,
-) -> Table5Row {
-    table5_row_by(variant, n, offload, ps, pl, board, |_| bytes_per_value)
+    table5_row_with(variant, n, offload, ps, pl, board, &StageFormats::default())
 }
 
 /// [`table5_row`] with **per-stage** word widths from a resolved
@@ -332,21 +296,6 @@ pub fn table5_row_with(
     board: &Board,
     formats: &StageFormats,
 ) -> Table5Row {
-    table5_row_by(variant, n, offload, ps, pl, board, |layer| {
-        formats.bytes_of(layer)
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-fn table5_row_by(
-    variant: Variant,
-    n: usize,
-    offload: &OffloadTarget,
-    ps: &PsModel,
-    pl: &PlModel,
-    board: &Board,
-    bytes_of: impl Fn(LayerName) -> usize,
-) -> Table5Row {
     let spec = NetSpec::new(variant, n);
     let total_wo_pl = ps.spec_seconds(&spec, board);
     let mut targets_wo_pl = Vec::new();
@@ -359,7 +308,7 @@ fn table5_row_by(
             "only single-instance (ODE) layers are offloaded in the paper"
         );
         let wo = ps.stage_seconds(layer, plan.is_ode, plan.execs, board);
-        let w = pl.stage_seconds_at(layer, plan.execs, board, bytes_of(layer));
+        let w = pl.stage_seconds_at(layer, plan.execs, board, formats.bytes_of(layer));
         ratio_pct.push(100.0 * wo / total_wo_pl);
         targets_wo_pl.push(wo);
         targets_w_pl.push(w);
@@ -539,21 +488,22 @@ mod tests {
         // cells of the Table 5 row for the same placement.
         let pl = PlModel::default();
         let spec = NetSpec::new(Variant::OdeNet, 56);
+        let q16: StageFormats = crate::plan::PlFormat::Q16 { frac: 8 }.into();
         for target in [
             OffloadTarget::None,
             OffloadTarget::Layer1,
             OffloadTarget::Layer1And22,
             OffloadTarget::AllOde,
         ] {
-            let busy = pl.placement_seconds_at(&spec, &target, &PYNQ_Z2, 2);
-            let row = table5_row_at(
+            let busy = pl.placement_seconds_with(&spec, &target, &PYNQ_Z2, &q16);
+            let row = table5_row_with(
                 spec.variant,
                 spec.n,
                 &target,
                 &PsModel::Calibrated,
                 &pl,
                 &PYNQ_Z2,
-                2,
+                &q16,
             );
             let expect: f64 = row.targets_w_pl.iter().sum();
             assert!(
@@ -562,7 +512,7 @@ mod tests {
             );
         }
         assert_eq!(
-            pl.placement_seconds_at(&spec, &OffloadTarget::None, &PYNQ_Z2, 2),
+            pl.placement_seconds_with(&spec, &OffloadTarget::None, &PYNQ_Z2, &q16),
             0.0
         );
     }

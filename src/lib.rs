@@ -7,7 +7,7 @@
 //! |-------|----------|
 //! | [`qfixed`] | Q·m.n fixed-point arithmetic (the PL's 32-bit Q20 format) |
 //! | [`tensor`] | NCHW tensors; conv/BN/ReLU/pool/FC kernels, f32 + Q20 |
-//! | [`odesolve`] | Euler/RK2/RK4/RKF45 solvers, adjoint + unrolled gradients |
+//! | [`odesolve`] | Euler/RK2/RK4 solvers, adjoint + unrolled gradients |
 //! | [`rodenet`] | the paper's architectures, training, parameter accounting |
 //! | [`zynq_sim`] | PYNQ-Z2 substrate simulator: resources, cycles, the `Engine` |
 //! | [`cifar_data`] | CIFAR-100 loader + SynthCIFAR procedural stand-in |
@@ -82,9 +82,5 @@ pub mod prelude {
     pub use zynq_sim::trace::{
         check_chrome_json, FaultTraceEvent, Metrics, Recorder, StallBreakdown, Trace,
     };
-    pub use zynq_sim::{
-        ode_block_resources, HybridRun, OdeBlockAccel, ARTY_Z7_10, ARTY_Z7_20, PYNQ_Z2,
-    };
-    #[allow(deprecated)]
-    pub use zynq_sim::{run_hybrid, run_hybrid_with};
+    pub use zynq_sim::{ode_block_resources, OdeBlockAccel, ARTY_Z7_10, ARTY_Z7_20, PYNQ_Z2};
 }
