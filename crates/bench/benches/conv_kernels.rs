@@ -1,5 +1,5 @@
-//! Convolution kernel throughput: f32 vs Q20, thread scaling, and the
-//! three offloadable layer geometries of Table 2.
+//! Convolution kernel throughput: f32 vs Q20, thread scaling of both, and
+//! the three offloadable layer geometries of Table 2.
 
 use bench::random_tensor;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -51,15 +51,23 @@ fn bench_conv(c: &mut Criterion) {
 }
 
 fn bench_thread_scaling(c: &mut Criterion) {
+    // Layer1 geometry at batch 4, in f32 (K-ordered GEMM) and Q20
+    // (offset-binary GEMM); both split output-channel blocks over threads.
     let x = random_tensor(Shape4::new(4, 17, 32, 32), 3);
     let w = random_tensor(Shape4::new(16, 17, 3, 3), 4);
+    let xq: Tensor<Q20> = Tensor::from_f32_tensor(&x);
+    let wq: Tensor<Q20> = Tensor::from_f32_tensor(&w);
     let mut g = c.benchmark_group("conv2d_threads");
     g.measurement_time(Duration::from_secs(3));
     g.warm_up_time(Duration::from_secs(1));
     for threads in [1usize, 2] {
-        g.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &t| {
+        g.bench_with_input(BenchmarkId::new("f32", threads), &threads, |b, &t| {
             par::set_threads(t);
             b.iter(|| black_box(conv2d(&x, &w, Conv2dParams::same_3x3())));
+        });
+        g.bench_with_input(BenchmarkId::new("q20", threads), &threads, |b, &t| {
+            par::set_threads(t);
+            b.iter(|| black_box(conv2d(&xq, &wq, Conv2dParams::same_3x3())));
         });
     }
     par::set_threads(

@@ -46,11 +46,12 @@
 //!                 per-resource stall-attribution table, and export the
 //!                 Chrome-trace JSON artifact (chrome://tracing /
 //!                 Perfetto)
-//!   hotpath       Extension: PS hot-path face-off — measured wall-clock
-//!                 seconds per PS stage (scalar reference kernels vs the
-//!                 im2col/GEMM fast path, bit-identical logits) plus
-//!                 end-to-end batch-32 on the PsSoftware backend, the
-//!                 configuration the ≥2× speedup pin guards
+//!   hotpath       Extension: hot-path face-off — measured wall-clock
+//!                 seconds per PS stage and per Q20 PL stage (scalar
+//!                 reference kernels vs the im2col/GEMM fast path,
+//!                 bit-identical outputs) plus end-to-end batch-32 on the
+//!                 PsSoftware backend (the configuration the ≥2× speedup
+//!                 pin guards) and on the Hybrid backend
 //!   faults        Extension: fault injection & failover — kill one
 //!                 placement group's board mid-run on the 4-board rack
 //!                 and compare the fault-free and faulted serves: the
@@ -1711,28 +1712,36 @@ fn hotpath_cmd(flags: &Flags) {
     use std::hint::black_box;
     use std::time::Instant;
     use tensor::conv::set_force_reference;
-    use zynq_sim::engine::{Engine, Offload};
+    use zynq_sim::engine::{BackendKind, Engine, Offload};
 
     /// Best-of-`reps` wall-clock seconds for `f` — min damps scheduler
     /// noise without needing criterion's statistics for a smoke table.
-    fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
+    /// Also returns the last run's result.
+    fn best_of<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         let mut best = f64::INFINITY;
-        for _ in 0..reps {
+        let mut last = None;
+        for _ in 0..reps.max(1) {
             let t0 = Instant::now();
-            black_box(f());
+            let out = black_box(f());
             best = best.min(t0.elapsed().as_secs_f64());
+            last = Some(out);
         }
-        best
+        (best, last.expect("at least one rep"))
     }
 
-    /// Time `f` on the scalar reference kernels, then on the im2col/GEMM
-    /// fast path. Numerics are bit-identical either way — the toggle only
-    /// reroutes `conv2d` dispatch — so only the clock differs.
-    fn face_off<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, f64) {
+    /// Time `f` on the scalar reference kernels (best of `reps.0`), then
+    /// on the im2col/GEMM fast path (best of `reps.1`). The toggle only
+    /// reroutes `conv2d` dispatch, so the two paths must return
+    /// bit-identical results; only the clock differs.
+    fn face_off<T: PartialEq>(reps: (usize, usize), mut f: impl FnMut() -> T) -> (f64, f64) {
         set_force_reference(true);
-        let reference = best_of(reps, &mut f);
+        let (reference, reference_out) = best_of(reps.0, &mut f);
         set_force_reference(false);
-        let fast = best_of(reps, &mut f);
+        let (fast, fast_out) = best_of(reps.1, &mut f);
+        assert!(
+            reference_out == fast_out,
+            "fast path diverged from conv2d_reference"
+        );
         (reference, fast)
     }
 
@@ -1741,8 +1750,8 @@ fn hotpath_cmd(flags: &Flags) {
     let x = bench::random_tensor(Shape4::new(1, 3, 32, 32), flags.seed ^ 0x9e37);
 
     let mut t = Table::new(
-        "Extension: PS hot path — scalar reference kernels vs im2col/GEMM fast path \
-         (ODENet-20, wall-clock)",
+        "Extension: hot path — scalar reference kernels vs im2col/GEMM fast path \
+         (ODENet-20, wall-clock; PS stages in f32, PL stages in Q20)",
         &["Stage", "Reference [s]", "Fast [s]", "Speedup"],
     );
     let mut row = |stage: &str, reference: f64, fast: f64| {
@@ -1756,8 +1765,10 @@ fn hotpath_cmd(flags: &Flags) {
 
     // Per-stage single-image walk: conv1, each residual stage on its own
     // activation, then the classifier head. `stage_forward` re-runs just
-    // that stage, so each row isolates one layer geometry.
-    let (r, f) = face_off(3, || net.pre_forward(&x));
+    // that stage, so each row isolates one layer geometry. The shape-
+    // preserving ODE stages also get a PL row: the same activation,
+    // quantized, through the Q20 circuit's `run_stage`.
+    let (r, f) = face_off((3, 3), || net.pre_forward(&x));
     row("conv1 (pre)", r, f);
     let mut z = net.pre_forward(&x);
     for name in [
@@ -1770,33 +1781,48 @@ fn hotpath_cmd(flags: &Flags) {
         let Some(next) = net.stage_forward(name, &z, BnMode::OnTheFly) else {
             continue;
         };
-        let (r, f) = face_off(3, || net.stage_forward(name, &z, BnMode::OnTheFly));
+        let (r, f) = face_off((3, 3), || net.stage_forward(name, &z, BnMode::OnTheFly));
         row(name.name(), r, f);
+        if let Some(stage) = net.stage(name).filter(|s| s.plan.is_ode) {
+            let accel = OdeBlockAccel::<Q20>::new(&stage.blocks[0], 16, &PYNQ_Z2);
+            let zq: Tensor<Q20> = Tensor::from_f32_tensor(&z);
+            let (r, f) = face_off((3, 3), || accel.run_stage(&zq, stage.plan.execs).output);
+            row(&format!("{} PL (Q20 run_stage)", name.name()), r, f);
+        }
         z = next;
     }
-    let (r, f) = face_off(3, || net.fc_forward(&z));
+    let (r, f) = face_off((3, 3), || net.fc_forward(&z));
     row("fc (head)", r, f);
 
     // End-to-end: the batch-32 PsSoftware run the >=2x pin in
-    // tests/hotpath.rs guards. One rep on the reference path keeps the
-    // command fast enough for CI smoke; the fast path gets best-of-2.
+    // tests/hotpath.rs guards, and the same batch on the Hybrid backend
+    // (the planner's Q20 stages on the PL). One rep on the reference path
+    // keeps the command fast enough for CI smoke; the fast path gets
+    // best-of-2.
     let batch = flags.images.unwrap_or(32);
     let xs: Vec<Tensor<f32>> = (0..batch)
         .map(|i| bench::random_tensor(Shape4::new(1, 3, 32, 32), flags.seed + 1 + i as u64))
         .collect();
-    let engine = Engine::builder(&net)
+    let logits = |engine: &Engine| -> Vec<Tensor<f32>> {
+        let runs = engine.infer_batch(&xs).expect("batch inference");
+        runs.into_iter().map(|r| r.logits).collect()
+    };
+    let ps = Engine::builder(&net)
         .offload(Offload::Target(OffloadTarget::None))
         .build()
         .expect("pure-software placement always fits");
-    set_force_reference(true);
-    let reference = best_of(1, || engine.infer_batch(&xs).expect("reference batch"));
-    set_force_reference(false);
-    let fast = best_of(2, || engine.infer_batch(&xs).expect("fast batch"));
-    row(&format!("e2e batch-{batch} (PsSoftware)"), reference, fast);
+    let (r, f) = face_off((1, 2), || logits(&ps));
+    row(&format!("e2e batch-{batch} (PsSoftware)"), r, f);
+    let hybrid = Engine::builder(&net)
+        .backend(BackendKind::Hybrid)
+        .build()
+        .expect("the planner's placement fits the PYNQ-Z2");
+    let (r, f) = face_off((1, 2), || logits(&hybrid));
+    row(&format!("e2e batch-{batch} (Hybrid)"), r, f);
     t.emit("hotpath");
     println!(
-        "(logits are bit-identical on both paths; tests/hotpath.rs pins the \
-         end-to-end row at >=2x)"
+        "(every row is bit-identical on both paths; tests/hotpath.rs pins the \
+         PsSoftware end-to-end row at >=2x)"
     );
 }
 

@@ -191,13 +191,22 @@ pub struct NetSpec {
 /// Depths evaluated in the paper.
 pub const PAPER_DEPTHS: [usize; 4] = [20, 32, 44, 56];
 
+/// The deepest network a [`NetSpec`] describes: ResNet-1202, the deepest
+/// CIFAR ResNet of He et al. (2016). With [`MAX_CLASSES`] it bounds what
+/// a checkpoint header can make [`crate::Network::new`] allocate.
+pub const MAX_DEPTH: usize = 1202;
+
+/// The most classes a [`NetSpec`] describes (the classifier holds
+/// `64 × classes` weights).
+pub const MAX_CLASSES: usize = 1 << 16;
+
 impl NetSpec {
     /// Build the Table 4 plan for `variant` at depth `n`.
     ///
     /// # Panics
-    /// If the depth is incompatible with the variant's execution-count
-    /// formulas (all paper depths 20/32/44/56 are valid for every
-    /// variant).
+    /// If the depth is outside `14..=`[`MAX_DEPTH`] or incompatible with
+    /// the variant's execution-count formulas (all paper depths
+    /// 20/32/44/56 are valid for every variant).
     pub fn new(variant: Variant, n: usize) -> Self {
         Self::try_new(variant, n, 100).unwrap_or_else(|e| panic!("{e}"))
     }
@@ -206,11 +215,13 @@ impl NetSpec {
     /// [`NetSpec::with_classes`]: the one place the depth and class
     /// rules live, so input read from a file gets an error, not a panic.
     pub(crate) fn try_new(variant: Variant, n: usize, classes: usize) -> Result<Self, String> {
-        if n < 14 {
-            return Err(format!("depth N must be at least 14 (got {n})"));
+        if !(14..=MAX_DEPTH).contains(&n) {
+            return Err(format!("depth N must be in 14..={MAX_DEPTH} (got {n})"));
         }
-        if classes < 2 {
-            return Err(format!("at least 2 classes are needed (got {classes})"));
+        if !(2..=MAX_CLASSES).contains(&classes) {
+            return Err(format!(
+                "the class count must be in 2..={MAX_CLASSES} (got {classes})"
+            ));
         }
         let div = |num: usize, den: usize, what: &str| -> Result<usize, String> {
             if num.is_multiple_of(den) {
@@ -272,7 +283,7 @@ impl NetSpec {
     /// Same spec with a different class count (e.g. the synthetic dataset).
     ///
     /// # Panics
-    /// If `classes < 2`.
+    /// If `classes` is outside `2..=`[`MAX_CLASSES`].
     pub fn with_classes(self, classes: usize) -> Self {
         let checked =
             Self::try_new(self.variant, self.n, classes).unwrap_or_else(|e| panic!("{e}"));

@@ -239,13 +239,53 @@ mod tests {
         save(&mut net, &mut buf).unwrap();
         // Header: magic, version, variant, then `n` at 12 and `classes`
         // at 16. Depth 15 fails the divisibility rule, 13 the minimum,
-        // and one class the classifier rule.
-        for (offset, value) in [(12, 15u32), (12, 13), (16, 1)] {
+        // and one class the classifier rule. Depth 1208 passes every
+        // divisibility rule but exceeds MAX_DEPTH, and u32::MAX classes
+        // (a 1 TiB classifier) exceeds MAX_CLASSES.
+        for (offset, value) in [(12, 15u32), (12, 13), (16, 1), (12, 1208), (16, u32::MAX)] {
             let mut bad = buf.clone();
             bad[offset..offset + 4].copy_from_slice(&value.to_le_bytes());
             match load(&mut bad.as_slice()) {
                 Ok(_) => panic!("header field {offset} = {value} must be rejected"),
                 Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+            }
+        }
+    }
+
+    /// Mutation test: truncations of a valid checkpoint (at every header
+    /// byte, then at random points) and random single-byte corruptions, load as an `io::Error` or a network
+    /// of bounded size — never a panic. Truncations must always fail. A
+    /// corrupted weight is still a well-formed checkpoint (the format has
+    /// no checksum), so a flip may load; a flip in a header or length
+    /// field must not panic or allocate past the spec limits.
+    #[test]
+    fn corrupted_checkpoints_never_panic() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut net = probe_net();
+        let mut buf = Vec::new();
+        save(&mut net, &mut buf).unwrap();
+        let mut rng = StdRng::seed_from_u64(7);
+        let cuts = (0..64).chain((0..300).map(|_| rng.random_range(64..buf.len())));
+        for len in cuts.collect::<Vec<_>>() {
+            assert!(
+                load(&mut &buf[..len]).is_err(),
+                "a checkpoint truncated to {len} bytes must be rejected"
+            );
+        }
+        for _ in 0..1000 {
+            let mut bad = buf.clone();
+            // Half the flips land in the 20-byte header or the first
+            // length field, where they change the architecture read.
+            let at = if rng.random::<bool>() {
+                rng.random_range(0..24)
+            } else {
+                rng.random_range(0..buf.len())
+            };
+            bad[at] ^= rng.random_range(1..=255u8);
+            if let Ok(loaded) = load(&mut bad.as_slice()) {
+                assert!(loaded.spec.n <= crate::arch::MAX_DEPTH);
+                assert!(loaded.spec.classes <= crate::arch::MAX_CLASSES);
             }
         }
     }

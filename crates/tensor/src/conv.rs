@@ -24,15 +24,33 @@
 //! [`set_force_reference`]) falls back to the original scalar kernel,
 //! retained verbatim as [`conv2d_reference`].
 //!
-//! Both paths are **bit-identical**, for every [`Scalar`]: the GEMM keeps
-//! the K-dimension accumulation in the reference's `(i, ky, kx)` order and
-//! blocks only over output channels / output pixels (independent
-//! accumulator chains). Padded taps contribute `w·0`: exact `0` on the
-//! wide fixed-point accumulator, and `acc + (±0.0)` in `f32` — a bitwise
-//! no-op because the accumulator can never hold `-0.0` (it starts at
-//! `+0.0`, and IEEE-754 addition only produces `-0.0` from two negative
-//! zeros). The equivalence is pinned by unit tests here and a proptest in
-//! `tensor/tests/props.rs` across shapes × strides × scalar types.
+//! Both paths are **bit-identical**, for every [`Scalar`]. The argument
+//! has two halves, one per kind of accumulator; the per-item GEMM is the
+//! [`Scalar::gemm_item`] hook, so each scalar type runs the kernel its
+//! half of the argument covers.
+//!
+//! * **`f32`, by K order.** The default GEMM keeps the K-dimension
+//!   accumulation in the reference's `(i, ky, kx)` order and blocks only
+//!   over output channels / output pixels (independent accumulator
+//!   chains). Padded taps contribute `acc + (±0.0)`, a bitwise no-op
+//!   because the accumulator can never hold `-0.0` (it starts at `+0.0`,
+//!   and IEEE-754 addition only produces `-0.0` from two negative zeros).
+//! * **Fixed point, by a modular identity.** The accumulator is a
+//!   wrapping `i64`, and [`Scalar::acc_finish`] reads only `acc mod 2^64`,
+//!   so any summation order gives the same output, overflow included;
+//!   padded taps add an exact `w·0 = 0`. This lets the fixed-point types
+//!   run an *offset-binary* GEMM: flipping each word's sign bit maps it to
+//!   `v_u = v + 2^31` in `u32`, and
+//!   `Σ w·x ≡ Σ w_u·x_u − 2^31·Σ x_u − 2^31·Σ w_u + K·2^62 (mod 2^64)`.
+//!   The `u32 × u32 → u64` products vectorize on baseline x86_64 (SSE2
+//!   `pmuludq`), where the signed `i64` product of the `f32`-shaped loop
+//!   does not; the two correction sums cost one pass over the packed
+//!   matrix and one over the weights.
+//!
+//! The equivalence is pinned by unit tests here and proptests in
+//! `tensor/tests/props.rs` across shapes × strides × scalar types,
+//! including raw fixed-point words from the whole `i32` range that make
+//! the accumulator wrap.
 
 use crate::{par, Scalar, Shape4, Tensor};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -168,11 +186,11 @@ const GEMM_NB: usize = 128;
 ///
 /// Per batch item the input is packed into a `K × (OH·OW)` column matrix
 /// (`K = C·9`, rows ordered `(i, ky, kx)` — the reference kernel's tap
-/// order), then multiplied by the `(O × K)` weight matrix in `MB × NB`
-/// blocks. The K loop stays outermost-sequential, so each output's
-/// accumulator chain visits taps in exactly the reference order; padded
-/// taps are packed as explicit zeros, which leave every accumulator
-/// bit-unchanged (see the module docs). The packed rows are built from
+/// order), then multiplied by the `(O × K)` weight matrix through
+/// [`Scalar::gemm_item`]: in reference K order for `f32`, with the
+/// offset-binary kernel for fixed point. Padded taps are packed as
+/// explicit zeros, which leave every accumulator bit-unchanged (see the
+/// module docs). The packed rows are built from
 /// precomputed interior ranges — `copy_from_slice` for stride 1, a
 /// `step_by(2)` zip for stride 2 — so neither packing nor GEMM performs a
 /// per-element bounds check.
@@ -213,43 +231,146 @@ pub fn conv2d_im2col_3x3<S: Scalar>(x: &Tensor<S>, w: &Tensor<S>, p: Conv2dParam
             }
         }
 
-        // out[n] is an (O × NC) row-major matrix; hand each worker a
-        // block of GEMM_MB output-channel rows.
-        let oitem = out.item_mut(n);
-        par::par_chunks_mut(oitem, GEMM_MB * nc, kdim, |blk, chunk| {
-            let m0 = blk * GEMM_MB;
-            let rows = chunk.len() / nc;
-            let mut acc = [S::acc_zero(); GEMM_MB * GEMM_NB];
-            let mut j0 = 0;
-            while j0 < nc {
-                let nb = GEMM_NB.min(nc - j0);
-                for a in acc[..rows * GEMM_NB].iter_mut() {
-                    *a = S::acc_zero();
-                }
-                // K stays sequential: each (m, j) accumulator sees taps
-                // in the reference (i, ky, kx) order.
-                for r in 0..kdim {
-                    let crow = &cols[r * nc + j0..r * nc + j0 + nb];
-                    for m in 0..rows {
-                        let wv = wsl[(m0 + m) * kdim + r];
-                        let arow = &mut acc[m * GEMM_NB..m * GEMM_NB + nb];
-                        for (a, &c) in arow.iter_mut().zip(crow) {
-                            *a = S::mac(*a, wv, c);
-                        }
-                    }
-                }
-                for m in 0..rows {
-                    let orow = &mut chunk[m * nc + j0..m * nc + j0 + nb];
-                    let arow = &acc[m * GEMM_NB..m * GEMM_NB + nb];
-                    for (o, &a) in orow.iter_mut().zip(arow) {
-                        *o = S::acc_finish(a);
-                    }
-                }
-                j0 += nb;
-            }
-        });
+        S::gemm_item(wsl, &cols, kdim, nc, out.item_mut(n));
     }
     out
+}
+
+/// The K-ordered micro-GEMM: [`Scalar::gemm_item`]'s default, which the
+/// `f32` path runs.
+///
+/// Each worker takes a block of `GEMM_MB` output-channel rows and walks
+/// it in `GEMM_NB`-pixel strips. K stays outermost-sequential, so every
+/// `(m, j)` accumulator sees taps in the reference `(i, ky, kx)` order.
+pub(crate) fn gemm_k_ordered<S: Scalar>(
+    w: &[S],
+    cols: &[S],
+    kdim: usize,
+    nc: usize,
+    out: &mut [S],
+) {
+    par::par_chunks_mut(out, GEMM_MB * nc, kdim, |blk, chunk| {
+        let m0 = blk * GEMM_MB;
+        let rows = chunk.len() / nc;
+        let mut acc = [S::acc_zero(); GEMM_MB * GEMM_NB];
+        let mut j0 = 0;
+        while j0 < nc {
+            let nb = GEMM_NB.min(nc - j0);
+            for a in acc[..rows * GEMM_NB].iter_mut() {
+                *a = S::acc_zero();
+            }
+            for r in 0..kdim {
+                let crow = &cols[r * nc + j0..r * nc + j0 + nb];
+                for m in 0..rows {
+                    let wv = w[(m0 + m) * kdim + r];
+                    let arow = &mut acc[m * GEMM_NB..m * GEMM_NB + nb];
+                    for (a, &c) in arow.iter_mut().zip(crow) {
+                        *a = S::mac(*a, wv, c);
+                    }
+                }
+            }
+            for m in 0..rows {
+                let orow = &mut chunk[m * nc + j0..m * nc + j0 + nb];
+                let arow = &acc[m * GEMM_NB..m * GEMM_NB + nb];
+                for (o, &a) in orow.iter_mut().zip(arow) {
+                    *o = S::acc_finish(a);
+                }
+            }
+            j0 += nb;
+        }
+    });
+}
+
+/// The offset-binary micro-GEMM behind the fixed-point
+/// [`Scalar::gemm_item`] overrides; `bits` reads a word's
+/// two's-complement value.
+///
+/// Each word is mapped to `u32` by flipping its sign bit,
+/// `v_u = bits(v) ^ 2^31`, so `v = v_u − 2^31`. Then, modulo 2^64,
+///
+/// `Σ_r w·x ≡ Σ_r w_u·x_u − 2^31·Σ_r x_u[r][j] − (2^31·Σ_r w_u[m][r] − K·2^62)`.
+///
+/// The inner loop is a `u32 × u32 → u64` multiply-add, which LLVM lowers
+/// to SSE2 `pmuludq`; the signed `i64` product of the K-ordered loop has
+/// no SSE2 form. The column term is one read pass over `cols`, the row
+/// term one over each block's weights. The sign flip is done inline, so
+/// no second `kdim × nc` buffer is allocated. Since [`Scalar::acc_finish`]
+/// of a fixed-point type reads the wrapping `i64` accumulator, that is
+/// `acc mod 2^64`, every output equals the K-ordered sum for every input,
+/// wraparound included. (The `K·2^62` term only reaches bits 62–63, which
+/// a 32-bit format's truncation never reads; the saturating 16-bit
+/// write-back does.)
+pub(crate) fn gemm_offset_binary<S: Scalar<Acc = i64>>(
+    w: &[S],
+    cols: &[S],
+    kdim: usize,
+    nc: usize,
+    out: &mut [S],
+    bits: impl Fn(S) -> i32 + Sync,
+) {
+    let flip = |v: S| u64::from(bits(v) as u32 ^ 0x8000_0000);
+    // 2^31·Σ_r x_u[r][j]: the column correction, shared by every row.
+    let mut col_corr = vec![0u64; nc];
+    for crow in cols.chunks_exact(nc) {
+        for (s, &c) in col_corr.iter_mut().zip(crow) {
+            *s = s.wrapping_add(flip(c));
+        }
+    }
+    for s in col_corr.iter_mut() {
+        *s <<= 31;
+    }
+    let k_term = (kdim as u64).wrapping_mul(1 << 62);
+
+    par::par_chunks_mut(out, GEMM_MB * nc, kdim, |blk, chunk| {
+        let m0 = blk * GEMM_MB;
+        let rows = chunk.len() / nc;
+        // 2^31·Σ_r w_u[m][r] − K·2^62: the row correction.
+        let mut row_corr = [0u64; GEMM_MB];
+        for (m, rc) in row_corr[..rows].iter_mut().enumerate() {
+            let wrow = &w[(m0 + m) * kdim..(m0 + m + 1) * kdim];
+            let sum = wrow.iter().fold(0u64, |s, &v| s.wrapping_add(flip(v)));
+            *rc = (sum << 31).wrapping_sub(k_term);
+        }
+        let mut j0 = 0;
+        while j0 < nc {
+            let nb = GEMM_NB.min(nc - j0);
+            let mut acc = [[0u64; GEMM_NB]; GEMM_MB];
+            for r in 0..kdim {
+                let crow = &cols[r * nc + j0..r * nc + j0 + nb];
+                let wv: [u64; GEMM_MB] = core::array::from_fn(|m| {
+                    if m < rows {
+                        flip(w[(m0 + m) * kdim + r])
+                    } else {
+                        0
+                    }
+                });
+                let [a0, a1, a2, a3] = &mut acc;
+                for ((((&c, x0), x1), x2), x3) in crow
+                    .iter()
+                    .zip(a0.iter_mut())
+                    .zip(a1.iter_mut())
+                    .zip(a2.iter_mut())
+                    .zip(a3.iter_mut())
+                {
+                    let c = flip(c);
+                    *x0 = x0.wrapping_add(wv[0] * c);
+                    *x1 = x1.wrapping_add(wv[1] * c);
+                    *x2 = x2.wrapping_add(wv[2] * c);
+                    *x3 = x3.wrapping_add(wv[3] * c);
+                }
+            }
+            for m in 0..rows {
+                let orow = &mut chunk[m * nc + j0..m * nc + j0 + nb];
+                let arow = &acc[m][..nb];
+                let crow = &col_corr[j0..j0 + nb];
+                for ((o, &a), &cc) in orow.iter_mut().zip(arow).zip(crow) {
+                    let wide = a.wrapping_sub(cc).wrapping_sub(row_corr[m]);
+                    *o = S::acc_finish(wide as i64);
+                }
+            }
+            j0 += nb;
+        }
+    });
 }
 
 /// Pack one im2col row: the values tap `(ky, kx)` reads for every output
@@ -421,7 +542,7 @@ pub fn conv2d_backward_weights(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use qfixed::{Q16, Q20};
+    use qfixed::{Q8x16, Q16, Q20};
 
     fn seq_tensor(shape: Shape4, scale: f32) -> Tensor<f32> {
         let mut k = 0.0f32;
@@ -662,6 +783,61 @@ mod tests {
                 conv2d_reference(&x16, &w16, p).as_slice()
             );
         }
+    }
+
+    /// Raw fixed-point words from the whole `i32` range, extremes first,
+    /// in a fixed scrambled order.
+    fn raw_words(len: usize, salt: u32) -> Vec<i32> {
+        const EXTREMES: [i32; 6] = [i32::MIN, i32::MAX, -1, 0, i16::MIN as i32, i16::MAX as i32];
+        (0..len as u32)
+            .map(|k| {
+                let h = (k ^ salt).wrapping_mul(0x9E37_79B9).rotate_left(13);
+                match h % 4 {
+                    0 => EXTREMES[(h as usize / 4) % EXTREMES.len()],
+                    _ => h.wrapping_mul(0x85EB_CA6B) as i32,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn fast_path_matches_reference_on_wrapping_fixed_point() {
+        // Raw bit patterns make the wide accumulator wrap, so a wrong
+        // correction term in the offset-binary GEMM cannot hide. O = 5
+        // leaves a 1-row block, and 12×12 = 144 pixels a 16-pixel strip.
+        for p in [Conv2dParams::same_3x3(), Conv2dParams::down_3x3()] {
+            let (xs, ws) = (Shape4::new(2, 3, 12, 12), Shape4::new(5, 3, 3, 3));
+            let xw = raw_words(xs.len(), 1);
+            let ww = raw_words(ws.len(), 2);
+            let xq = Tensor::from_vec(xs, xw.iter().map(|&b| Q20::from_bits(b)).collect());
+            let wq = Tensor::from_vec(ws, ww.iter().map(|&b| Q20::from_bits(b)).collect());
+            assert_eq!(
+                conv2d_im2col_3x3(&xq, &wq, p).as_slice(),
+                conv2d_reference(&xq, &wq, p).as_slice(),
+                "Q20 stride {}",
+                p.stride
+            );
+            let x16 =
+                Tensor::from_vec(xs, xw.iter().map(|&b| Q8x16::from_bits(b as i16)).collect());
+            let w16 =
+                Tensor::from_vec(ws, ww.iter().map(|&b| Q8x16::from_bits(b as i16)).collect());
+            assert_eq!(
+                conv2d_im2col_3x3(&x16, &w16, p).as_slice(),
+                conv2d_reference(&x16, &w16, p).as_slice(),
+                "Q8x16 stride {}",
+                p.stride
+            );
+        }
+        // All-`i32::MIN` words: every product is 2^62, so the 36-tap
+        // centre sum is 9·2^64 and wraps to exactly zero.
+        let x = Tensor::<Q20>::full(Shape4::new(1, 4, 3, 3), Q20::from_bits(i32::MIN));
+        let w = Tensor::<Q20>::full(Shape4::new(1, 4, 3, 3), Q20::from_bits(i32::MIN));
+        let y = conv2d_im2col_3x3(&x, &w, Conv2dParams::same_3x3());
+        assert_eq!(y.get(0, 0, 1, 1), Q20::ZERO);
+        assert_eq!(
+            y.as_slice(),
+            conv2d_reference(&x, &w, Conv2dParams::same_3x3()).as_slice()
+        );
     }
 
     #[test]

@@ -59,6 +59,27 @@ pub trait Scalar:
     /// Collapse the accumulator back to the storage format (the single
     /// truncation point for fixed point).
     fn acc_finish(acc: Self::Acc) -> Self;
+
+    /// Multiply one batch item's packed im2col matrix by the weights: the
+    /// micro-GEMM under [`crate::conv::conv2d_im2col_3x3`].
+    ///
+    /// `w` is the `O × kdim` weight matrix, `cols` the `kdim × nc` column
+    /// matrix and `out` the `O × nc` output, all row-major, with `nc`
+    /// positive. Every output
+    /// is `acc_finish(Σ_r mac(w[m][r], cols[r][j]))`, bit for bit: the
+    /// result must equal [`crate::conv::conv2d_reference`] on every input.
+    /// Work is split over blocks of 4 output-channel rows with
+    /// [`crate::par::par_chunks_mut`].
+    ///
+    /// The default keeps each accumulator chain in `r` order, which is
+    /// what makes the `f32` sum bit-identical to the reference. The
+    /// fixed-point types override it with an offset-binary kernel whose
+    /// `u32 × u32 → u64` products vectorize on baseline x86_64 (see
+    /// [`crate::conv`], "Fast path"); their wrapping `i64` accumulator
+    /// makes any summation order exact.
+    fn gemm_item(w: &[Self], cols: &[Self], kdim: usize, nc: usize, out: &mut [Self]) {
+        crate::conv::gemm_k_ordered(w, cols, kdim, nc, out);
+    }
 }
 
 impl Scalar for f32 {
@@ -202,6 +223,9 @@ impl<const F: u32> Scalar for Fix<F> {
     fn acc_finish(acc: i64) -> Self {
         Fix::from_bits((acc >> F) as i32)
     }
+    fn gemm_item(w: &[Self], cols: &[Self], kdim: usize, nc: usize, out: &mut [Self]) {
+        crate::conv::gemm_offset_binary(w, cols, kdim, nc, out, |v: Self| v.to_bits());
+    }
 }
 
 impl<const F: u32> Scalar for Fix16<F> {
@@ -275,6 +299,9 @@ impl<const F: u32> Scalar for Fix16<F> {
         // the 16-bit storage format, as hardware write-back logic does.
         let v = acc >> F;
         Fix16::from_bits(v.clamp(i16::MIN as i64, i16::MAX as i64) as i16)
+    }
+    fn gemm_item(w: &[Self], cols: &[Self], kdim: usize, nc: usize, out: &mut [Self]) {
+        crate::conv::gemm_offset_binary(w, cols, kdim, nc, out, |v: Self| v.to_bits() as i32);
     }
 }
 

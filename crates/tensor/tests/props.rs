@@ -2,7 +2,7 @@
 //! must hold regardless of shapes, plus fixed/float agreement bounds.
 
 use proptest::prelude::*;
-use qfixed::{Q16, Q20};
+use qfixed::{Q8x16, Q16, Q20};
 use tensor::conv::{
     conv2d, conv2d_backward_input, conv2d_backward_weights, conv2d_im2col_3x3, conv2d_reference,
     Conv2dParams,
@@ -47,6 +47,47 @@ fn conv3x3_instance() -> impl Strategy<Value = (Tensor<f32>, Tensor<f32>, Conv2d
                         Conv2dParams { stride, pad: 1 },
                     )
                 })
+        })
+}
+
+/// A raw fixed-point word: one of the extremes (`i32::MIN`, `i32::MAX`,
+/// `-1`, `0`, `i16::MIN`, `i16::MAX`) half the time, otherwise any `i32`.
+fn raw_word() -> impl Strategy<Value = i32> {
+    (
+        prop::sample::select(vec![
+            i32::MIN,
+            i32::MAX,
+            -1,
+            0,
+            i16::MIN as i32,
+            i16::MAX as i32,
+        ]),
+        any::<i32>(),
+        any::<bool>(),
+    )
+        .prop_map(|(extreme, word, pick)| if pick { extreme } else { word })
+}
+
+/// Random 3×3 instances over raw words, whose products make the wide
+/// accumulator wrap. Up to 6 output channels leave 1–3-row blocks, and
+/// up to 13×13 = 169 pixels leave a partial 128-pixel strip.
+fn raw_conv3x3_instance(
+) -> impl Strategy<Value = (Shape4, Shape4, Vec<i32>, Vec<i32>, Conv2dParams)> {
+    (
+        1usize..=2,
+        1usize..=3,
+        1usize..=13,
+        1usize..=13,
+        1usize..=6,
+        1usize..=2,
+    )
+        .prop_flat_map(|(n, c, h, w, o, stride)| {
+            let (xs, ws) = (Shape4::new(n, c, h, w), Shape4::new(o, c, 3, 3));
+            (
+                prop::collection::vec(raw_word(), xs.len()),
+                prop::collection::vec(raw_word(), ws.len()),
+            )
+                .prop_map(move |(xd, wd)| (xs, ws, xd, wd, Conv2dParams { stride, pad: 1 }))
         })
 }
 
@@ -159,6 +200,27 @@ proptest! {
         let fast = conv2d_im2col_3x3(&xq, &wq, p);
         let reference = conv2d_reference(&xq, &wq, p);
         prop_assert_eq!(fast.as_slice(), reference.as_slice());
+    }
+
+    #[test]
+    fn fast_conv_matches_reference_on_raw_words((xs, ws, xd, wd, p) in raw_conv3x3_instance()) {
+        // Raw words from the whole i32 range: the offset-binary GEMM must
+        // match the reference modulo 2^64, wraparound included. For the
+        // 16-bit format, `as i16` keeps i16::MIN / i16::MAX and maps
+        // i32::MIN / MAX to 0 / -1, so every 16-bit extreme is drawn.
+        fn check<S: tensor::Scalar>(xs: Shape4, ws: Shape4, xd: &[S], wd: &[S], p: Conv2dParams) -> Result<(), TestCaseError> {
+            let x = Tensor::from_vec(xs, xd.to_vec());
+            let w = Tensor::from_vec(ws, wd.to_vec());
+            let (fast, reference) = (conv2d_im2col_3x3(&x, &w, p), conv2d_reference(&x, &w, p));
+            prop_assert_eq!(fast.as_slice(), reference.as_slice());
+            Ok(())
+        }
+        let q20 = |d: &[i32]| d.iter().map(|&b| Q20::from_bits(b)).collect::<Vec<_>>();
+        let q16 = |d: &[i32]| d.iter().map(|&b| Q16::from_bits(b)).collect::<Vec<_>>();
+        let q8x16 = |d: &[i32]| d.iter().map(|&b| Q8x16::from_bits(b as i16)).collect::<Vec<_>>();
+        check(xs, ws, &q20(&xd), &q20(&wd), p)?;
+        check(xs, ws, &q16(&xd), &q16(&wd), p)?;
+        check(xs, ws, &q8x16(&xd), &q8x16(&wd), p)?;
     }
 
     #[test]

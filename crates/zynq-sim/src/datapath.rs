@@ -32,6 +32,15 @@
 //! the same wide-accumulate / truncate-once semantics as the DSP48
 //! cascade, so the simulator's outputs are bit-exact with a Q20 software
 //! reference by construction (tested in `tests/`).
+//!
+//! On the host, the circuit's 3×3 convolutions run through the fixed-point
+//! micro-GEMM of [`tensor::Scalar::gemm_item`]: an offset-binary
+//! `u32 × u32 → u64` kernel that vectorizes on baseline x86_64. The
+//! wide accumulator wraps modulo 2^64 and the single truncation reads
+//! only that residue, so the kernel equals the scalar
+//! [`tensor::conv::conv2d_reference`] bit for bit on every input,
+//! overflow included; [`tensor::conv::set_force_reference`] routes a
+//! run through that reference for comparison.
 
 use crate::board::Board;
 #[cfg(test)]
